@@ -13,15 +13,15 @@ merely anti-commutes with the block blocks odd degrees).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .errors import FalsificationError, HypothesisError, IdealError
 from .graphs import MixedGraph, enumerate_cliques, is_admissible, relation_graph
-from .ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec,
+from .ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec, _per_ideal,
                     is_square_free, orthogonal)
-from .normalform import canonical_form
-from .quiver import Path
+from .normalform import canonical_form, monomial_in_ideal
+from .quiver import Path, multi_vertex_cycles
 
 Word = tuple[str, ...]
 
@@ -88,7 +88,13 @@ class CenterBasis:
         return all(e.is_monomial
                    for _, elements in self.by_degree for e in elements)
 
+    def even_slice(self) -> CenterBasis:
+        """The even-degree elements; everything else unchanged."""
+        return replace(self, by_degree=tuple(
+            (d, els) for d, els in self.by_degree if d % 2 == 0))
 
+
+@_per_ideal
 def surviving_multi_vertex_cycle(spec: IdealSpec) -> Word | None:
     """A rotation of a simple multi-vertex cycle that survives modulo the
     ideal, if one exists.
@@ -98,9 +104,6 @@ def surviving_multi_vertex_cycle(spec: IdealSpec) -> Word | None:
     ``cd + dc`` is central), so the loop-clique machinery refuses these
     quivers and defers to the oracle.
     """
-    from .normalform import monomial_in_ideal
-    from .quiver import multi_vertex_cycles
-
     for cycle in multi_vertex_cycles(spec.quiver):
         for shift in range(len(cycle)):
             rotation = cycle[shift:] + cycle[:shift]
@@ -111,7 +114,7 @@ def surviving_multi_vertex_cycle(spec: IdealSpec) -> Word | None:
 
 def hypothesis_report(spec: IdealSpec) -> dict:
     """The theorem-mode preconditions and their outcomes."""
-    verdict = is_admissible(orthogonal_of(spec))
+    verdict = is_admissible(orthogonal(spec))
     survivor = surviving_multi_vertex_cycle(spec)
     return {
         "square_free": is_square_free(spec),
@@ -120,10 +123,6 @@ def hypothesis_report(spec: IdealSpec) -> dict:
         "loop_supported": survivor is None,
         "surviving_multi_vertex_cycle": survivor,
     }
-
-
-def orthogonal_of(spec: IdealSpec) -> IdealSpec:
-    return orthogonal(spec)
 
 
 def require_loop_hypotheses(spec: IdealSpec) -> None:
@@ -218,6 +217,7 @@ def clique_status(spec: IdealSpec, g: MixedGraph, clique: Sequence[str]
     )
 
 
+@_per_ideal
 def loop_clique_statuses(spec: IdealSpec) -> tuple[CliqueStatus, ...]:
     """Status of every clique of loops in the relation graph, in
     deterministic (size, vertex list) order."""
@@ -407,15 +407,7 @@ def center_is_trivial_at(spec: IdealSpec, vertex: str) -> TrivialityResult:
 def even_center_upto(spec: IdealSpec,
                      max_degree: int = DEFAULT_MAX_DEGREE) -> CenterBasis:
     """The even-degree slice of the center."""
-    full = central_monomials_upto(spec, max_degree)
-    return CenterBasis(
-        flavor=full.flavor,
-        max_degree=max_degree,
-        provenance=full.provenance,
-        by_degree=tuple((d, els) for d, els in full.by_degree if d % 2 == 0),
-        identity_components=full.identity_components,
-        notes=full.notes,
-    )
+    return central_monomials_upto(spec, max_degree).even_slice()
 
 
 def graded_center_upto(spec: IdealSpec,
@@ -426,17 +418,9 @@ def graded_center_upto(spec: IdealSpec,
         raise HypothesisError(
             "the graded/even center identification needs characteristic != 2")
     full = central_monomials_upto(spec, max_degree)
-    even = tuple((d, els) for d, els in full.by_degree if d % 2 == 0)
-    notes = list(full.notes)
-    if all(d % 2 == 0 for d, _ in full.by_degree):
-        notes.append(
+    even = full.even_slice()
+    if even.by_degree == full.by_degree:
+        even = replace(even, notes=even.notes + (
             f"no odd-degree central monomials up to degree {max_degree}: "
-            "the even-degree center equals the full center in this range")
-    return CenterBasis(
-        flavor=full.flavor,
-        max_degree=max_degree,
-        provenance=full.provenance,
-        by_degree=even,
-        identity_components=full.identity_components,
-        notes=tuple(notes),
-    )
+            "the even-degree center equals the full center in this range",))
+    return even

@@ -31,6 +31,9 @@ DEFAULT_MAX_DEGREE = 8
 COMMANDS = ("validate", "admissible", "orthogonal", "center", "fingen",
             "dual", "hochschild", "oracle-check", "dot")
 
+# what every command handler returns: JSON result, text lines, notices
+_Outcome = tuple[dict, list[str], list[str]]
+
 
 def _word(text_word) -> str:
     return "*".join(text_word)
@@ -109,7 +112,7 @@ def _emit(report: dict, lines: list[str], as_json: bool) -> None:
             sys.stdout.write(line + "\n")
 
 
-def _cmd_validate(doc: SpecDocument, args) -> tuple[dict, list[str]]:
+def _cmd_validate(doc: SpecDocument, args) -> _Outcome:
     spec = doc.ideal
     result = {**_quiver_payload(spec), **_ideal_payload(spec),
               "koszul_asserted": doc.koszul_asserted,
@@ -122,10 +125,10 @@ def _cmd_validate(doc: SpecDocument, args) -> tuple[dict, list[str]]:
         "relations: " + (", ".join(spec.relation_strings()) or "(none)"),
         "valid",
     ]
-    return result, lines
+    return result, lines, []
 
 
-def _cmd_admissible(doc: SpecDocument, args) -> tuple[dict, list[str]]:
+def _cmd_admissible(doc: SpecDocument, args) -> _Outcome:
     verdict = is_admissible(doc.ideal)
     result = {
         "admissible": verdict.admissible,
@@ -140,7 +143,7 @@ def _cmd_admissible(doc: SpecDocument, args) -> tuple[dict, list[str]]:
     return result, lines, _convention_notices(verdict.orthogonal)
 
 
-def _cmd_orthogonal(doc: SpecDocument, args) -> tuple[dict, list[str]]:
+def _cmd_orthogonal(doc: SpecDocument, args) -> _Outcome:
     orth = orthogonal(doc.ideal)
     result = {**_ideal_payload(orth),
               "convention_squares": list(orth.convention_squares)}
@@ -152,7 +155,7 @@ def _cmd_orthogonal(doc: SpecDocument, args) -> tuple[dict, list[str]]:
     return result, lines, _convention_notices(orth)
 
 
-def _cmd_center(doc: SpecDocument, args) -> tuple[dict, list[str]]:
+def _cmd_center(doc: SpecDocument, args) -> _Outcome:
     spec = doc.ideal
     if args.graded and spec.field_char == 2:
         raise InputError(
@@ -168,13 +171,7 @@ def _cmd_center(doc: SpecDocument, args) -> tuple[dict, list[str]]:
         notices.append(f"outside theorem hypotheses: {exc}")
         basis = oracle_center_upto(spec, args.max_degree)
         if args.graded:
-            basis = CenterBasis(
-                flavor=basis.flavor, max_degree=basis.max_degree,
-                provenance=basis.provenance,
-                by_degree=tuple((d, els) for d, els in basis.by_degree
-                                if d % 2 == 0),
-                identity_components=basis.identity_components,
-                notes=basis.notes)
+            basis = basis.even_slice()
         mode = "oracle-only"
     result = {"mode": mode, **_center_payload(basis)}
     lines = [f"mode: {mode}",
@@ -192,7 +189,7 @@ def _cmd_center(doc: SpecDocument, args) -> tuple[dict, list[str]]:
     return result, lines, notices
 
 
-def _cmd_fingen(doc: SpecDocument, args) -> tuple[dict, list[str]]:
+def _cmd_fingen(doc: SpecDocument, args) -> _Outcome:
     spec = doc.ideal
     notices: list[str] = []
     try:
@@ -247,7 +244,7 @@ def _cmd_fingen(doc: SpecDocument, args) -> tuple[dict, list[str]]:
     return result, lines, notices
 
 
-def _cmd_dual(doc: SpecDocument, args) -> tuple[dict, list[str]]:
+def _cmd_dual(doc: SpecDocument, args) -> _Outcome:
     dual = koszul_dual(doc.presentation)
     result = {
         "quiver": _quiver_payload(dual.ideal),
@@ -267,7 +264,7 @@ def _cmd_dual(doc: SpecDocument, args) -> tuple[dict, list[str]]:
     return result, lines, _convention_notices(dual.ideal)
 
 
-def _cmd_hochschild(doc: SpecDocument, args) -> tuple[dict, list[str]]:
+def _cmd_hochschild(doc: SpecDocument, args) -> _Outcome:
     verdict = hochschild_fg(doc.presentation, args.max_degree)
     result = {
         "status": verdict.status,
@@ -293,7 +290,7 @@ def _cmd_hochschild(doc: SpecDocument, args) -> tuple[dict, list[str]]:
     return result, lines, _convention_notices(verdict.dual.ideal)
 
 
-def _cmd_dot(doc: SpecDocument, args) -> tuple[dict, list[str]]:
+def _cmd_dot(doc: SpecDocument, args) -> _Outcome:
     spec = doc.ideal
     if args.graph == "gen":
         graph = generator_graph(spec)
@@ -305,7 +302,7 @@ def _cmd_dot(doc: SpecDocument, args) -> tuple[dict, list[str]]:
     return {"dot": text}, [text.rstrip("\n")], []
 
 
-def _cmd_oracle_check(doc: SpecDocument, args) -> tuple[dict, list[str]]:
+def _cmd_oracle_check(doc: SpecDocument, args) -> _Outcome:
     """Agreement suite between the graph/clique engines and the oracle."""
     spec = doc.ideal
     checks: list[tuple[str, bool, str]] = []
@@ -418,25 +415,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _max_degree(args) -> int:
+    """The degree bound: ``--max-degree``, else PACQA_MAX_DEGREE, else the
+    default; an integer of at least 1."""
+    if args.max_degree is not None:
+        source, value = "--max-degree", args.max_degree
+    else:
+        source = "PACQA_MAX_DEGREE"
+        text = os.environ.get(source, str(DEFAULT_MAX_DEGREE))
+        try:
+            value = int(text)
+        except ValueError:
+            raise InputError(
+                f"{source} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise InputError(f"{source} must be at least 1, got {value}")
+    return value
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_degree is None:
-        args.max_degree = int(os.environ.get("PACQA_MAX_DEGREE",
-                                             DEFAULT_MAX_DEGREE))
     try:
+        args.max_degree = _max_degree(args)
         with open(args.spec, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     try:
         doc = parse_spec(text)
-        outcome = _DISPATCH[args.command](doc, args)
-        result, lines = outcome[0], outcome[1]
-        extra = list(outcome[2]) if len(outcome) > 2 else []
+        result, lines, notices = _DISPATCH[args.command](doc, args)
         report = _report(doc, args.command, result,
-                         list(doc.notices) + extra)
+                         list(doc.notices) + notices)
         if args.command == "dot" and not args.json:
             sys.stdout.write(result["dot"])
         else:
@@ -445,9 +456,6 @@ def run(argv: list[str]) -> int:
     except FalsificationError as exc:
         sys.stderr.write(f"falsification: {exc}\n")
         return 2
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except PacqaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

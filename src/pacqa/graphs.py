@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ideal import IdealSpec, orthogonal
+from .ideal import IdealSpec, _per_ideal, orthogonal
 
 GENERATOR_KIND = "generator"
 RELATION_KIND = "relation"
@@ -64,6 +64,7 @@ def generator_graph(spec: IdealSpec) -> MixedGraph:
     )
 
 
+@_per_ideal
 def relation_graph(spec: IdealSpec) -> MixedGraph:
     """Directed edge ``a -> b`` whenever ``ab = 0`` in the quotient: the pair
     is non-composable, or ``ab`` is a monomial generator.  Self-pairs only
@@ -140,6 +141,7 @@ class AdmissibilityVerdict:
         return "cycle: " + " -> ".join(self.cycle)
 
 
+@_per_ideal
 def is_admissible(spec: IdealSpec) -> AdmissibilityVerdict:
     """The ideal is admissible iff the generator graph of its orthogonal
     ideal has no directed cycle; an admissible ideal kills every path longer

@@ -9,7 +9,7 @@ excludes both ``ab`` and ``ba`` from the monomial generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable
 
 from .errors import IdealError
@@ -42,6 +42,8 @@ class IdealSpec:
     ``monomials`` are ordered composable pairs ``(a, b)`` meaning ``ab`` is a
     generator; ``relations`` are ordered-normalized pairs ``(a, b)`` (by arrow
     declaration order) meaning ``ab - ba`` resp. ``ab + ba`` is a generator.
+    Objects derived from the ideal alone are memoised on the instance (see
+    :func:`_per_ideal`) and freed with it.
     """
 
     quiver: Quiver
@@ -83,6 +85,22 @@ class IdealSpec:
 
     def generator_strings(self) -> tuple[str, ...]:
         return self.monomial_strings() + self.relation_strings()
+
+
+def _per_ideal(fn):
+    """Memoise ``fn(spec)`` in the spec's instance ``__dict__``, as
+    ``cached_property`` does, so the result lives and dies with the spec.
+    A cached ``None`` counts as a hit."""
+    key = f"_{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memo(spec):
+        try:
+            return spec.__dict__[key]
+        except KeyError:
+            value = spec.__dict__[key] = fn(spec)
+            return value
+    return memo
 
 
 def validate_ideal(quiver: Quiver,
@@ -169,6 +187,7 @@ def composable_pairs(quiver: Quiver) -> list[tuple[str, str]]:
     return [(a, b) for a in names for b in names if quiver.composable(a, b)]
 
 
+@_per_ideal
 def orthogonal(spec: IdealSpec) -> IdealSpec:
     """The orthogonal ideal: relations carry over with the sign flipped
     (flavor flips), and every nonzero length-2 path that is neither a

@@ -107,10 +107,6 @@ def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
     return rows[:r], pivots
 
 
-def rank(rows: list[list], field) -> int:
-    return len(rref([list(r) for r in rows], field)[0])
-
-
 def nullspace(rows: list[list], ncols: int, field) -> list[list]:
     """Basis of {x : M x = 0}, one vector per free column, in column order;
     each vector has a 1 in its free column (canonical)."""

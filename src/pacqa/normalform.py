@@ -16,25 +16,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-from weakref import WeakKeyDictionary
 
 from .errors import FalsificationError, IdealError, QuiverError
-from .ideal import ANTICOMMUTATIVE, IdealSpec
+from .ideal import ANTICOMMUTATIVE, IdealSpec, _per_ideal
 from .quiver import Path
 
 Word = tuple[str, ...]
 
 
 class _Ctx:
-    """Per-spec lookup tables and the shared class cache (internal)."""
+    """Per-spec lookup tables and the spec's class cache (internal); one
+    lives in each spec's memo, see :func:`context_for`."""
 
-    __slots__ = ("spec", "quiver", "names", "index", "compose_ok",
-                 "mono", "rel", "eps", "cache", "__weakref__")
+    __slots__ = ("names", "index", "compose_ok", "mono", "rel", "eps",
+                 "cache")
 
     def __init__(self, spec: IdealSpec):
         q = spec.quiver
-        self.spec = spec
-        self.quiver = q
         self.names = q.arrow_names
         self.index = {a: i for i, a in enumerate(self.names)}
         n = len(self.names)
@@ -63,15 +61,9 @@ class _Ctx:
         return tuple(self.names[i] for i in word)
 
 
-_CONTEXTS: "WeakKeyDictionary[IdealSpec, _Ctx]" = WeakKeyDictionary()
-
-
+@_per_ideal
 def context_for(spec: IdealSpec) -> _Ctx:
-    ctx = _CONTEXTS.get(spec)
-    if ctx is None:
-        ctx = _Ctx(spec)
-        _CONTEXTS[spec] = ctx
-    return ctx
+    return _Ctx(spec)
 
 
 @dataclass
@@ -147,12 +139,6 @@ class SignedClass:
     @property
     def words(self) -> tuple[Word, ...]:
         return tuple(w for w, _ in self.members)
-
-    def sign_of(self, word: Word) -> int:
-        for w, s in self.members:
-            if w == word:
-                return s
-        raise KeyError(word)
 
     def as_dict(self) -> Mapping[Word, int]:
         return dict(self.members)

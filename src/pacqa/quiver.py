@@ -70,11 +70,6 @@ class Quiver:
         return tuple(a.name for a in self.arrows
                      if a.origin == vertex and a.target == vertex)
 
-    def arrows_at(self, vertex: str) -> tuple[str, ...]:
-        """Arrows incident to ``vertex`` (as origin or target)."""
-        return tuple(a.name for a in self.arrows
-                     if a.origin == vertex or a.target == vertex)
-
     def composable(self, first: str, second: str) -> bool:
         """True when the length-2 word ``first second`` is a path."""
         return self.target(first) == self.origin(second)

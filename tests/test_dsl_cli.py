@@ -175,6 +175,21 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["max_degree"] == 2
 
+    @pytest.mark.parametrize("flag, env, message", [
+        (["--max-degree", "-3"], None, "--max-degree must be at least 1"),
+        ([], "four", "PACQA_MAX_DEGREE must be an integer"),
+        ([], "0", "PACQA_MAX_DEGREE must be at least 1"),
+    ], ids=["flag-below-one", "env-not-an-integer", "env-below-one"])
+    def test_bad_degree_bound_rejected(self, flag, env, message, capsys,
+                                       monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("PACQA_MAX_DEGREE", env)
+        assert run(["center", fixture_path("anti_two_loops_arrow"),
+                    *flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+
     def test_center_erratum_notice(self, capsys):
         code = run(["center", "--max-degree", "6",
                     fixture_path("anti_two_loops_arrow")])

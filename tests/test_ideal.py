@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import weakref
+
 import pytest
 
 from helpers import build, fixture_ideal, two_loop_polynomial
@@ -172,3 +177,57 @@ class TestSquarePredicates:
             spec = fixture_ideal(name)
             if is_admissible(spec).admissible:
                 assert is_square_free(orthogonal(spec)), name
+
+
+class TestPerIdealMemo:
+    def test_computes_once_per_spec_and_none_is_a_hit(self):
+        from pacqa.ideal import _per_ideal
+        calls = []
+
+        @_per_ideal
+        def probe(spec):
+            calls.append(spec)
+            return None
+
+        spec = fixture_ideal("comm_two_loops_arrow")
+        assert probe(spec) is None
+        assert probe(spec) is None
+        assert len(calls) == 1
+        # an equal but distinct spec has a memo of its own
+        probe(fixture_ideal("comm_two_loops_arrow"))
+        assert len(calls) == 2
+        assert orthogonal(spec) is orthogonal(spec)
+
+    def test_memo_is_freed_with_the_spec(self):
+        from pacqa.center import central_monomials_upto
+        from pacqa.normalform import canonical_form
+        spec = fixture_ideal("anti_two_loops_arrow")
+        ref = weakref.ref(spec)
+        central_monomials_upto(spec, 4)
+        canonical_form(spec, ("a", "b"))
+        del spec
+        gc.collect()
+        assert ref() is None
+
+    def test_concurrent_first_use_gives_equal_results(self):
+        from pacqa.center import central_monomials_upto
+        expected = central_monomials_upto(
+            fixture_ideal("anti_two_loops_arrow"), 6)
+        spec = fixture_ideal("anti_two_loops_arrow")
+        results = []
+
+        def work():
+            results.append(central_monomials_upto(spec, 6))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 8
