@@ -395,8 +395,16 @@ _DISPATCH = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input (exit 1); argparse would exit 2, the code
+    reserved for engine disagreement."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pacqa",
         description="Exact analysis of quiver algebras bound by quadratic "
                     "monomial and (anti-)commutativity relations.")
@@ -434,9 +442,8 @@ def _max_degree(args) -> int:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.max_degree = _max_degree(args)
         with open(args.spec, encoding="utf-8") as handle:
             text = handle.read()

@@ -1,14 +1,18 @@
-"""Small dense exact linear algebra over Q or a prime field.
+"""Small sparse exact linear algebra over Q or a prime field.
 
-Everything the oracle needs: reduced row echelon form, nullspaces, and an
-incrementally maintained row-space for span-membership queries.  Matrices
-are lists of coefficient lists; entries start in {-1, 0, +1} and stay exact
-(Fractions in characteristic 0, ints mod p otherwise).
+Everything the oracle needs: a row space kept in reduced row echelon form
+for span-membership queries, and nullspaces read from it.  Rows are
+``{column: coefficient}`` dicts of nonzero entries (dense sequences are
+accepted too); entries stay exact (Fractions in characteristic 0, ints mod
+p otherwise).
 """
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Sequence
+
+_Vector = Mapping[int, object] | Sequence
 
 
 class Rationals:
@@ -74,101 +78,89 @@ def field_for(char: int):
     return Rationals() if char == 0 else PrimeField(char)
 
 
-def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form; returns (nonzero rows, pivot
-    columns).  Deterministic: pivots scan columns left to right."""
-    rows = [row for row in rows if any(not field.is_zero(x) for x in row)]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != field.of(1):
-            rows[r] = [field.div(x, pv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(factor, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def nullspace(rows: list[list], ncols: int, field) -> list[list]:
-    """Basis of {x : M x = 0}, one vector per free column, in column order;
-    each vector has a 1 in its free column (canonical)."""
-    reduced, pivots = rref([list(r) for r in rows], field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    one = field.of(1)
-    zero = field.of(0)
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = field.neg(row[fc])
-        basis.append(vec)
-    return basis
-
-
 class SpanBasis:
-    """Row space maintained in reduced form for membership tests."""
+    """Row space kept in reduced row echelon form for membership tests.
 
-    def __init__(self, ncols: int, field):
-        self.ncols = ncols
+    ``rows`` maps each pivot column to its row: the pivot entry is 1, it is
+    the row's leftmost entry, and every other entry sits in a non-pivot
+    column.  Sorted by pivot, the rows are the unique RREF of the span.
+    ``_holders`` maps each non-pivot column to the pivots of the rows with
+    an entry there, so an insertion touches only the rows it changes.
+    """
+
+    def __init__(self, field):
         self.field = field
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict] = {}
+        self._holders: defaultdict[int, set[int]] = defaultdict(set)
 
-    def _reduce(self, vec: Sequence) -> list:
+    def _reduce(self, vec: _Vector) -> dict:
+        """The nonzero entries of ``vec`` minus its part in the span."""
         field = self.field
-        vec = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            factor = vec[pc]
-            if not field.is_zero(factor):
-                vec = [field.sub(x, field.mul(factor, y))
-                       for x, y in zip(vec, row)]
-        return vec
+        items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+        out = {c: x for c, x in items if not field.is_zero(x)}
+        # a stored row is zero at every other pivot, so one pass suffices
+        for pc in [c for c in out if c in self.rows]:
+            self._subtract(out, out.pop(pc), self.rows[pc], pc)
+        return out
 
-    def add(self, vec: Sequence) -> bool:
+    def _subtract(self, target: dict, factor, row: dict, skip: int) -> None:
+        """``target -= factor * row`` outside column ``skip``; zeros go."""
+        field = self.field
+        for c, y in row.items():
+            if c != skip:
+                x = field.sub(target.get(c, 0), field.mul(factor, y))
+                if field.is_zero(x):
+                    del target[c]
+                else:
+                    target[c] = x
+
+    def add(self, vec: _Vector) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
-        field = self.field
         vec = self._reduce(vec)
-        for c in range(self.ncols):
-            if not field.is_zero(vec[c]):
-                pv = vec[c]
-                if pv != field.of(1):
-                    vec = [field.div(x, pv) for x in vec]
-                for i, row in enumerate(self.rows):
-                    factor = row[c]
-                    if not field.is_zero(factor):
-                        self.rows[i] = [field.sub(x, field.mul(factor, y))
-                                        for x, y in zip(row, vec)]
-                at = 0
-                while at < len(self.pivots) and self.pivots[at] < c:
-                    at += 1
-                self.rows.insert(at, vec)
-                self.pivots.insert(at, c)
-                return True
-        return False
+        if not vec:
+            return False
+        field = self.field
+        pc = min(vec)
+        if vec[pc] != field.of(1):
+            inv = field.div(field.of(1), vec[pc])
+            vec = {c: field.mul(x, inv) for c, x in vec.items()}
+        holders = self._holders
+        for r in holders.pop(pc, ()):
+            row = self.rows[r]
+            self._subtract(row, row.pop(pc), vec, pc)
+            for c in vec:
+                if c in row:
+                    holders[c].add(r)
+                elif c != pc:
+                    holders[c].discard(r)
+        for c in vec:
+            if c != pc:
+                holders[c].add(pc)
+        self.rows[pc] = vec
+        return True
 
-    def contains(self, vec: Sequence) -> bool:
-        return all(self.field.is_zero(x) for x in self._reduce(vec))
+    def contains(self, vec: _Vector) -> bool:
+        return not self._reduce(vec)
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
+
+
+def nullspace(rows: list[_Vector], ncols: int, field) -> list[list]:
+    """Basis of {x : M x = 0}, one vector per free column, in column order;
+    each vector has a 1 in its free column (canonical)."""
+    span = SpanBasis(field)
+    for row in rows:
+        span.add(row)
+    zero, one = field.of(0), field.of(1)
+    basis = []
+    for fc in range(ncols):
+        if fc in span.rows:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
+        for pc in span._holders.get(fc, ()):
+            vec[pc] = field.neg(span.rows[pc][fc])
+        basis.append(vec)
+    return basis

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .center import CenterBasis, CenterElement, surviving_multi_vertex_cycle
 from .errors import BudgetError, FalsificationError
-from .ideal import IdealSpec, is_square_free
+from .ideal import IdealSpec, _per_ideal, is_square_free
 from .linalg import SpanBasis, field_for, nullspace
 from .normalform import canonical_index_form, context_for
 
@@ -78,14 +78,14 @@ def count_paths(spec: IdealSpec, degree: int) -> int:
 
 
 def _generator_rows(spec: IdealSpec, degree: int, field):
-    """Unit/binomial vectors spanning the degree slice of the ideal, over
-    the full path list.  Yields (columns dict) rows; the path order defines
-    the columns."""
+    """Rows spanning the degree slice of the ideal over the full path list:
+    one ``{column: coefficient}`` row of at most two entries per product
+    p * generator * q.  Returns (column of each path, rows); the path order
+    defines the columns."""
     ctx = context_for(spec)
-    paths = enumerate_paths(spec, degree)
-    col = {w: i for i, w in enumerate(paths)}
+    col = {w: i for i, w in enumerate(enumerate_paths(spec, degree))}
     one = field.of(1)
-    eps = field.of(ctx.eps)
+    minus_eps = field.neg(field.of(ctx.eps))
     pairs = ([(ctx.index[a], ctx.index[b], False) for a, b in spec.monomials]
              + [(ctx.index[a], ctx.index[b], True) for a, b in spec.relations])
 
@@ -107,25 +107,40 @@ def _generator_rows(spec: IdealSpec, degree: int, field):
                 for q in rights:
                     if q and not ctx.compose_ok[v][q[0]]:
                         continue
-                    row = [field.of(0)] * len(paths)
-                    row[col[p + (u, v) + q]] = one
+                    row = {col[p + (u, v) + q]: one}
                     if is_rel:
                         # relation generator uv - eps*vu
-                        other = col[p + (v, u) + q]
-                        row[other] = field.sub(row[other], eps)
+                        row[col[p + (v, u) + q]] = minus_eps
                     rows.append(row)
-    return paths, col, rows
+    return col, rows
+
+
+@_per_ideal
+def _raw_spans(spec: IdealSpec) -> dict[int, tuple[dict, SpanBasis]]:
+    """Degree -> (column of each path, span of the ideal's degree slice)."""
+    return {}
+
+
+def _raw_span(spec: IdealSpec, degree: int) -> tuple[dict, SpanBasis]:
+    """The raw span of one degree slice, built once per spec and degree.
+    A span enters the memo only when complete, so a reader in another
+    thread never sees a partial one (two threads may both build it)."""
+    spans = _raw_spans(spec)
+    if degree not in spans:
+        field = field_for(spec.field_char)
+        col, rows = _generator_rows(spec, degree, field)
+        span = SpanBasis(field)
+        for row in rows:
+            span.add(row)
+        spans[degree] = (col, span)
+    return spans[degree]
 
 
 def _raw_dimension(spec: IdealSpec, degree: int) -> int:
     """Quotient dimension at one degree by raw elimination:
     dim = #paths - rank(span of p * generator * q)."""
-    field = field_for(spec.field_char)
-    paths, _, rows = _generator_rows(spec, degree, field)
-    span = SpanBasis(len(paths), field)
-    for row in rows:
-        span.add(row)
-    return len(paths) - span.dimension
+    col, span = _raw_span(spec, degree)
+    return len(col) - span.dimension
 
 
 def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
@@ -182,18 +197,11 @@ def raw_monomial_in_ideal(spec: IdealSpec, word: Word) -> bool:
         return False
     if count_paths(spec, degree) > SELF_CHECK_PATH_CAP:
         raise BudgetError("path list too large for the raw membership route")
-    ctx = context_for(spec)
-    field = field_for(spec.field_char)
-    paths, col, rows = _generator_rows(spec, degree, field)
-    target = ctx.encode(word)
+    col, span = _raw_span(spec, degree)
+    target = context_for(spec).encode(word)
     if target not in col:
         raise FalsificationError(f"{'*'.join(word)} is not a path")
-    span = SpanBasis(len(paths), field)
-    for row in rows:
-        span.add(row)
-    vec = [field.of(0)] * len(paths)
-    vec[col[target]] = field.of(1)
-    return span.contains(vec)
+    return span.contains({col[target]: span.field.of(1)})
 
 
 def _multiset(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -250,17 +258,13 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
                             sign, rep = cf
                             row = sparse_rows[(a, rep)]
                             row[col[w]] = row.get(col[w], 0) - sign
-            dense = []
+            matrix = []
             for _, sparse in sorted(sparse_rows.items()):
-                row = [field.of(0)] * len(block)
-                nonzero = False
-                for j, v in sparse.items():
-                    fv = field.of(v)
-                    row[j] = fv
-                    nonzero = nonzero or not field.is_zero(fv)
-                if nonzero:
-                    dense.append(row)
-            for vec in nullspace(dense, len(block), field):
+                row = {j: field.of(v) for j, v in sparse.items()}
+                row = {j: x for j, x in row.items() if not field.is_zero(x)}
+                if row:
+                    matrix.append(row)
+            for vec in nullspace(matrix, len(block), field):
                 terms = tuple(
                     (coeff, ctx.decode(block[j]))
                     for j, coeff in enumerate(vec)
@@ -358,10 +362,7 @@ def oracle_fg_evidence(spec: IdealSpec, max_degree: int, *,
 
     def to_vector(terms, degree):
         cols = basis_cols[degree]
-        vec = [field.of(0)] * len(cols)
-        for coeff, word in terms:
-            vec[cols[ctx.encode(word)]] = fcoeff(coeff)
-        return vec
+        return {cols[ctx.encode(word)]: fcoeff(coeff) for coeff, word in terms}
 
     def multiply(left_terms, right_terms):
         out: dict[tuple[int, ...], object] = {}
@@ -389,7 +390,7 @@ def oracle_fg_evidence(spec: IdealSpec, max_degree: int, *,
     subalgebra_slice: dict[int, list] = {}
     rows: list[tuple[int, int, int]] = []
     for d in range(1, max_degree + 1):
-        product_span = SpanBasis(len(basis_cols[d]), field)
+        product_span = SpanBasis(field)
         product_elements: list = []
         for e in range(1, d):
             for z in center_terms[e]:
@@ -403,7 +404,7 @@ def oracle_fg_evidence(spec: IdealSpec, max_degree: int, *,
                 new += 1
                 product_span.add(to_vector(z, d))
         rows.append((d, len(center_terms[d]), new))
-        slice_span = SpanBasis(len(basis_cols[d]), field)
+        slice_span = SpanBasis(field)
         slice_elements: list = []
         for terms in product_elements + center_terms[d]:
             if slice_span.add(to_vector(terms, d)):

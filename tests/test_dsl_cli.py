@@ -190,6 +190,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: " + message)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-degree", "abc"], "argument --max-degree: invalid int"),
+        (["--graph", "nope"], "argument --graph: invalid choice"),
+        (["--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    ], ids=["non-integer-bound", "bad-choice", "unknown-flag"])
+    def test_usage_error_is_input_error(self, argv, message, capsys):
+        # exit 2 is reserved for engine disagreement
+        assert run(["validate", fixture_path("anti_two_loops_arrow"),
+                    *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pacqa")
+
     def test_center_erratum_notice(self, capsys):
         code = run(["center", "--max-degree", "6",
                     fixture_path("anti_two_loops_arrow")])

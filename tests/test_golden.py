@@ -1,9 +1,10 @@
 """Golden stdout digests: every command on every fixture, text and JSON.
 
-The digests pin the exact bytes each command prints at ``--max-degree 4``,
-together with its exit code, so that refactors of the engines cannot change
-a verdict, a line of text or a byte of a JSON report unnoticed.  To add a
-variant, record its digest from a run of the unchanged code first.
+The digests pin the exact bytes each command prints at ``--max-degree 4``
+(or at the bound a variant sets itself), together with its exit code, so
+that refactors of the engines cannot change a verdict, a line of text or a
+byte of a JSON report unnoticed.  To add a variant, record its digest from
+a run of the unchanged code first.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ VARIANTS = (
     ("dual",),
     ("hochschild",),
     ("oracle-check",),
+    ("oracle-check", "--max-degree", "6"),
     ("dot", "--graph", "gen"),
     ("dot", "--graph", "gen-perp"),
     ("dot", "--graph", "rel"),
@@ -70,6 +72,10 @@ GOLDEN = {
     "anti_four_loops_free_pair oracle-check":
         (0, "c1c12efe82b99034fe340501012b5d9a30da76b35575c0ac9aa06e7be1fbb97c"),
     "anti_four_loops_free_pair oracle-check --json":
+        (0, "e51504c671c8db5eea9d7488c61e8d09d136f77f77ef8f5d8d3053051f660a1e"),
+    "anti_four_loops_free_pair oracle-check --max-degree 6":
+        (0, "c1c12efe82b99034fe340501012b5d9a30da76b35575c0ac9aa06e7be1fbb97c"),
+    "anti_four_loops_free_pair oracle-check --max-degree 6 --json":
         (0, "e51504c671c8db5eea9d7488c61e8d09d136f77f77ef8f5d8d3053051f660a1e"),
     "anti_four_loops_free_pair orthogonal":
         (0, "c53c94af27d40225a787320ad6c5d2c3873e1debef6c26ef2e8cef6c3c29fe72"),
@@ -119,6 +125,10 @@ GOLDEN = {
         (0, "69b9ad67e39dd6ae3f6f90c228d60ec45f2a468a7b73580e10077abae1a97bda"),
     "anti_four_loops_full oracle-check --json":
         (0, "8fc1d8b60bd43044dce184653f1a55330bd45723789c29e49d317de21b0e5952"),
+    "anti_four_loops_full oracle-check --max-degree 6":
+        (0, "69b9ad67e39dd6ae3f6f90c228d60ec45f2a468a7b73580e10077abae1a97bda"),
+    "anti_four_loops_full oracle-check --max-degree 6 --json":
+        (0, "8fc1d8b60bd43044dce184653f1a55330bd45723789c29e49d317de21b0e5952"),
     "anti_four_loops_full orthogonal":
         (0, "2aaba74c002539febff07dc77c722ead8779fc1bd6288a406b87e0ee99f8ecb3"),
     "anti_four_loops_full orthogonal --json":
@@ -167,6 +177,10 @@ GOLDEN = {
         (0, "337ca7f383df4a1032f195fbeb2eb57ec1547a38ce3effb1cc898bf34a2b6d1f"),
     "anti_two_loops_arrow oracle-check --json":
         (0, "c149b75f2724453a10604db7c0d0cfc6a35cf3e684d214f0ccd0d799ccae2ed7"),
+    "anti_two_loops_arrow oracle-check --max-degree 6":
+        (0, "c14f1ee3e9e9999d96d103a66561668e347e6e56a58bb016d2ffcfde28e8693c"),
+    "anti_two_loops_arrow oracle-check --max-degree 6 --json":
+        (0, "43f85804579c97941871b66dff5dccab87a99a178ec79bcea2e6eaa0f45c33a8"),
     "anti_two_loops_arrow orthogonal":
         (0, "bd3918bfa94d0b6b2a67db98499eaf0ce33559fb0c13b578f4dc871c9cc0f200"),
     "anti_two_loops_arrow orthogonal --json":
@@ -215,6 +229,10 @@ GOLDEN = {
         (0, "dc65f3ca7f557a1ea64fac6e3622e4e6ac2319e702ff6904827fa5bf42a62d9a"),
     "comm_four_loops_arrow_out oracle-check --json":
         (0, "e5a8e7ed6c483fd2120501ea42fdb41e6f3f9926366787cbdb68cd458a3f3901"),
+    "comm_four_loops_arrow_out oracle-check --max-degree 6":
+        (0, "0e32d5cd74313d15887103b322966f4dd83ece0876617b00345d3d0e92528fec"),
+    "comm_four_loops_arrow_out oracle-check --max-degree 6 --json":
+        (0, "7259bcbf722f25d9ab7a4471e630653c73d37c208e7dda74e025c97e1a9e58ae"),
     "comm_four_loops_arrow_out orthogonal":
         (0, "c8fb0015b078d706fa430c07f06c32108fa784a208d7f4f11df672579491b3c9"),
     "comm_four_loops_arrow_out orthogonal --json":
@@ -262,6 +280,10 @@ GOLDEN = {
     "comm_two_loops_arrow oracle-check":
         (0, "820595866d57b2eaf485cf68adbbe8638f814a249605d359d14caed21e62922f"),
     "comm_two_loops_arrow oracle-check --json":
+        (0, "06fa0dcead67551ee08a6336bd5c911219cadd8e9830cb5d5edb48353468f279"),
+    "comm_two_loops_arrow oracle-check --max-degree 6":
+        (0, "820595866d57b2eaf485cf68adbbe8638f814a249605d359d14caed21e62922f"),
+    "comm_two_loops_arrow oracle-check --max-degree 6 --json":
         (0, "06fa0dcead67551ee08a6336bd5c911219cadd8e9830cb5d5edb48353468f279"),
     "comm_two_loops_arrow orthogonal":
         (0, "590a7229ebbe89d724d40c406320fc1a96efae7b67e170a78e2909889837860d"),
@@ -311,6 +333,10 @@ GOLDEN = {
         (0, "69b9ad67e39dd6ae3f6f90c228d60ec45f2a468a7b73580e10077abae1a97bda"),
     "monomial_two_loops_two_arrows oracle-check --json":
         (0, "b9f4be8377cfc8edf904f2e5686ac50ee032369ad5d950f14d1bc7ab00958af9"),
+    "monomial_two_loops_two_arrows oracle-check --max-degree 6":
+        (0, "69b9ad67e39dd6ae3f6f90c228d60ec45f2a468a7b73580e10077abae1a97bda"),
+    "monomial_two_loops_two_arrows oracle-check --max-degree 6 --json":
+        (0, "b9f4be8377cfc8edf904f2e5686ac50ee032369ad5d950f14d1bc7ab00958af9"),
     "monomial_two_loops_two_arrows orthogonal":
         (0, "cd60a3219814b0c3a47b731706d154739c91c71218b0c7b30c55d3c6d723b6d9"),
     "monomial_two_loops_two_arrows orthogonal --json":
@@ -326,8 +352,8 @@ GOLDEN = {
 @pytest.mark.parametrize("name", FIXTURES)
 def test_stdout_matches_golden_digest(name, variant, capsys):
     for json_flag in ((), ("--json",)):
-        code = run([variant[0], fixture_path(name), *variant[1:],
-                    "--max-degree", "4", *json_flag])
+        code = run([variant[0], fixture_path(name), "--max-degree", "4",
+                    *variant[1:], *json_flag])
         out = capsys.readouterr().out
         key = " ".join((name, *variant, *json_flag))
         assert (code, hashlib.sha256(out.encode()).hexdigest()) \

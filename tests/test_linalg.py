@@ -1,0 +1,85 @@
+"""The sparse elimination engine against the dense reference it replaced.
+
+Matrices have small integer entries, so pivots over Q are often not units;
+each is tried over Q, GF(2), GF(3) and GF(5), with rows handed to the
+sparse engine as dicts and as dense lists alike.
+"""
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_linalg
+from pacqa.linalg import SpanBasis, field_for, nullspace
+
+CHARS = (0, 2, 3, 5)
+
+matrices = st.integers(1, 7).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(st.lists(st.integers(-3, 3), min_size=ncols,
+                          max_size=ncols), max_size=9),
+        st.lists(st.lists(st.integers(-3, 3), min_size=ncols,
+                          max_size=ncols), max_size=4)))
+
+
+def _in_field(field, matrix):
+    return [[field.of(x) for x in row] for row in matrix]
+
+
+def _sparse(field, row):
+    return {c: x for c, x in enumerate(row) if not field.is_zero(x)}
+
+
+def _dense_rows(span, ncols, field):
+    """The stored RREF rows of the sparse engine, densified, by pivot."""
+    return [[span.rows[pc].get(c, field.of(0)) for c in range(ncols)]
+            for pc in sorted(span.rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices, st.sampled_from(CHARS), st.booleans())
+def test_span_basis_matches_dense_reference(case, char, as_dicts):
+    ncols, matrix, queries = case
+    field = field_for(char)
+    rows = _in_field(field, matrix)
+    dense = dense_linalg.SpanBasis(ncols, field)
+    sparse = SpanBasis(field)
+    added = [dense.add(row) for row in rows]
+    assert [sparse.add(_sparse(field, row) if as_dicts else row)
+            for row in rows] == added
+    assert sparse.dimension == dense.dimension
+    assert _dense_rows(sparse, ncols, field) == dense.rows
+    # queries: arbitrary vectors, and sums of inserted rows (in the span)
+    probes = _in_field(field, queries)
+    for i in range(len(rows) - 1):
+        probes.append([field.add(x, y) for x, y in zip(rows[i], rows[i + 1])])
+    for vec in probes:
+        expected = dense.contains(vec)
+        assert sparse.contains(vec) == expected
+        assert sparse.contains(_sparse(field, vec)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices, st.sampled_from(CHARS), st.booleans())
+def test_nullspace_matches_dense_reference(case, char, as_dicts):
+    ncols, matrix, _ = case
+    field = field_for(char)
+    rows = _in_field(field, matrix)
+    given_rows = [_sparse(field, r) for r in rows] if as_dicts else rows
+    assert nullspace(given_rows, ncols, field) \
+        == dense_linalg.nullspace(rows, ncols, field)
+
+
+def test_wide_binomial_chain_stays_sparse():
+    # e_0 - e_1, e_1 - e_2, ...: every RREF row keeps two entries, pivot
+    # and the last column, however many rows precede it
+    field = field_for(0)
+    ncols = 2_000
+    span = SpanBasis(field)
+    for c in range(ncols - 1):
+        assert span.add({c + 1: field.of(-1), c: field.of(1)})
+    assert span.dimension == ncols - 1
+    assert all(len(row) == 2 for row in span.rows.values())
+    assert span.contains({0: field.of(1), ncols - 1: field.of(-1)})
+    assert not span.contains({0: field.of(1)})

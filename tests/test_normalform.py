@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fixture_ideal, random_instance, random_surviving_word
+from helpers import (FIXTURES, fixture_ideal, random_instance,
+                     random_surviving_word)
 from pacqa.errors import IdealError
 from pacqa.normalform import (canonical_form, equivalence_class,
                               monomial_in_ideal)
-from pacqa.oracle import count_paths, raw_monomial_in_ideal
+from pacqa.oracle import (SELF_CHECK_PATH_CAP, count_paths,
+                          quotient_basis_upto, raw_monomial_in_ideal)
 
 
 def w(text: str) -> tuple[str, ...]:
@@ -130,24 +132,28 @@ class TestBinomialMembership:
         assert not _binomial_in_ideal(spec, w("ccd"), w("cdd"))
 
 
+def _raw_contains(spec, terms) -> bool:
+    """Raw span membership of ``sum coeff * word`` over ``(coeff, word)``
+    terms of one degree, read from the oracle's shared per-degree span, at
+    any path count."""
+    from pacqa.normalform import context_for
+    from pacqa.oracle import _raw_span
+
+    ctx = context_for(spec)
+    degree, = {len(word) for _, word in terms}
+    col, span = _raw_span(spec, degree)
+    vec: dict[int, object] = {}
+    for coeff, word in terms:
+        c = col[ctx.encode(word)]
+        vec[c] = span.field.add(vec.get(c, span.field.of(0)),
+                                span.field.of(coeff))
+    return span.contains(vec)
+
+
 def _binomial_in_ideal(spec, b, c) -> bool:
     """Raw span membership of the binomial b - c at its degree."""
-    from pacqa.linalg import SpanBasis, field_for
-    from pacqa.normalform import context_for
-    from pacqa.oracle import _generator_rows
-
     assert len(b) == len(c)
-    ctx = context_for(spec)
-    field = field_for(spec.field_char)
-    paths, col, rows = _generator_rows(spec, len(b), field)
-    span = SpanBasis(len(paths), field)
-    for row in rows:
-        span.add(row)
-    vec = [field.of(0)] * len(paths)
-    vec[col[ctx.encode(b)]] = field.of(1)
-    target = col[ctx.encode(c)]
-    vec[target] = field.sub(vec[target], field.of(1))
-    return span.contains(vec)
+    return _raw_contains(spec, [(1, b), (-1, c)])
 
 
 class TestSquareReduction:
@@ -176,23 +182,52 @@ class TestSquareReduction:
         assert checked >= 1
 
 
+# Differential sizes: every degree 2..5 slice of up to this many paths.
+# The raw route's own cap (SELF_CHECK_PATH_CAP) is lower; these tests read
+# the shared span directly.
+DIFFERENTIAL_PATH_CAP = 1_300
+
+
+def _differential_cases(seed: int, instances: int):
+    """(rng, spec, degree) over the fixtures and random instances, for every
+    degree slice within the cap."""
+    rng = random.Random(seed)
+    specs = [fixture_ideal(name) for name in FIXTURES]
+    specs += [random_instance(rng) for _ in range(instances)]
+    for spec in specs:
+        for degree in range(2, 6):
+            if count_paths(spec, degree) <= DIFFERENTIAL_PATH_CAP:
+                yield rng, spec, degree
+
+
 class TestTwoRouteAgreement:
     def test_normal_form_matches_raw_span(self):
-        rng = random.Random(90)
+        from pacqa.normalform import context_for
+        from pacqa.oracle import enumerate_paths
+
         agreements = 0
-        for _ in range(40):
-            spec = random_instance(rng)
-            for degree in (2, 3):
-                if count_paths(spec, degree) > 250:
-                    continue
-                from pacqa.oracle import enumerate_paths
-                from pacqa.normalform import context_for
-                ctx = context_for(spec)
-                paths = enumerate_paths(spec, degree)
-                rng.shuffle(paths)
-                for word in paths[:6]:
-                    named = ctx.decode(word)
-                    assert raw_monomial_in_ideal(spec, named) == \
-                        monomial_in_ideal(spec, named)
-                    agreements += 1
-        assert agreements >= 50
+        largest = 0
+        for rng, spec, degree in _differential_cases(90, 100):
+            ctx = context_for(spec)
+            paths = enumerate_paths(spec, degree)
+            largest = max(largest, len(paths))
+            rng.shuffle(paths)
+            for word in paths[:6]:
+                named = ctx.decode(word)
+                expected = monomial_in_ideal(spec, named)
+                assert _raw_contains(spec, [(1, named)]) == expected
+                if len(paths) <= SELF_CHECK_PATH_CAP:
+                    assert raw_monomial_in_ideal(spec, named) == expected
+                agreements += 1
+        assert agreements >= 1_000
+        assert largest > 1_000
+
+    def test_raw_dimension_matches_class_dimension(self):
+        from pacqa.oracle import _raw_dimension
+
+        compared = 0
+        for _, spec, degree in _differential_cases(4242, 100):
+            algebra = quotient_basis_upto(spec, degree, self_check=False)
+            assert _raw_dimension(spec, degree) == algebra.dimensions[degree]
+            compared += 1
+        assert compared >= 300

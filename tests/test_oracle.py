@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from helpers import build, fixture_ideal, two_loop_polynomial
+from helpers import (FIXTURES, build, fixture_ideal, fixture_path,
+                     two_loop_polynomial)
 from pacqa.ideal import COMMUTATIVE
 from pacqa.koszul import dual_ideal
 from pacqa.oracle import (oracle_center_upto, oracle_fg_evidence,
@@ -178,3 +179,27 @@ class TestFgEvidence:
         dual = dual_ideal(fixture_ideal("monomial_two_loops_two_arrows"))
         evidence = oracle_fg_evidence(dual, 4)
         assert evidence.new_generator_degrees == ()
+
+
+class TestRawSpanMemo:
+    def test_oracle_check_builds_each_degree_once(self, monkeypatch):
+        # oracle-check self-checks every affordable degree and then samples
+        # words for the raw membership route; both read one span per degree
+        from collections import Counter
+
+        from pacqa import oracle
+        from pacqa.cli import run
+
+        original = oracle._generator_rows
+        for name in FIXTURES:
+            built: Counter = Counter()
+
+            def counting(spec, degree, field):
+                built[degree] += 1
+                return original(spec, degree, field)
+
+            monkeypatch.setattr(oracle, "_generator_rows", counting)
+            assert run(["oracle-check", fixture_path(name),
+                        "--max-degree", "6"]) == 0
+            assert built, name
+            assert max(built.values()) == 1, (name, built)
