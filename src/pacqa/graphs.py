@@ -28,10 +28,6 @@ class MixedGraph:
     loops: frozenset[str] = frozenset()  # vertices that are quiver loops
 
     @cached_property
-    def _order(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def directed_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.directed)
 
@@ -48,9 +44,6 @@ class MixedGraph:
 
     def joined(self, a: str, b: str) -> bool:
         return b in self.undirected_adjacency[a]
-
-    def sort_vertices(self, vertices) -> tuple[str, ...]:
-        return tuple(sorted(vertices, key=self._order.__getitem__))
 
 
 def generator_graph(spec: IdealSpec) -> MixedGraph:

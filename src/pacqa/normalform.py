@@ -1,55 +1,51 @@
-"""Equivalence classes of words under allowed transpositions, with signs.
+"""Normal forms of words modulo the ideal, read off their traces.
 
-An adjacent swap of two distinct arrows is allowed exactly when the pair
-carries a relation.  In the anticommutative flavor each swap flips the sign;
-in the commutative flavor all signs are +1.  A word lies in the ideal iff
-some member of its class contains a monomial generator as a factor, so the
-class computation is also the membership and canonical-form engine.
-
-Signs are well defined: allowed transpositions only ever swap *distinct*
-arrows, so the relative order of equal arrows is invariant along any rewrite
-and each member word is reachable with exactly one sign.  The breadth-first
-search asserts this and raises :class:`FalsificationError` if it ever sees a
-conflict.
+Adjacent distinct arrows may swap exactly when the ideal relates them, and
+equal arrows never swap, so the class of a word is a trace: the members are
+the linearizations of its dependence order on occurrences (Cartier-Foata,
+LNM 85, 1969; Anisimov-Knuth, "Inhomogeneous sorting", 1979).  The word is
+zero iff some cover pair ``i < j`` of that order spells a monomial generator
+(monomial generators never join related arrows); its canonical word is the
+lexicographic normal form, built by taking the smallest letter among the
+minimal unplaced occurrences; its sign is ``eps`` to the number of
+inversions, well defined because equal arrows keep their order.  No class is
+enumerated; each spec's memo keeps one normal form per queried word.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import FalsificationError, IdealError, QuiverError
-from .ideal import ANTICOMMUTATIVE, IdealSpec, _per_ideal
+from .errors import IdealError, QuiverError
+from .ideal import IdealSpec, _per_ideal
 from .quiver import Path
 
 Word = tuple[str, ...]
+IndexForm = tuple[int, tuple[int, ...]] | None  # (sign, canonical) or zero
 
 
 class _Ctx:
-    """Per-spec lookup tables and the spec's class cache (internal); one
-    lives in each spec's memo, see :func:`context_for`."""
+    """Per-spec lookup tables and the spec's normal forms of queried words
+    (internal); one lives in each spec's memo, see :func:`context_for`."""
 
-    __slots__ = ("names", "index", "compose_ok", "mono", "rel", "eps",
-                 "cache")
+    __slots__ = ("names", "index", "compose_ok", "indep", "mono_before",
+                 "eps", "forms")
 
     def __init__(self, spec: IdealSpec):
         q = spec.quiver
         self.names = q.arrow_names
         self.index = {a: i for i, a in enumerate(self.names)}
-        n = len(self.names)
-        self.compose_ok = [
-            [q.composable(self.names[i], self.names[j]) for j in range(n)]
-            for i in range(n)
-        ]
-        self.mono = frozenset(
-            (self.index[a], self.index[b]) for a, b in spec.monomials)
-        rel = set()
-        for a, b in spec.relations:
-            i, j = self.index[a], self.index[b]
-            rel.add((i, j))
-            rel.add((j, i))
-        self.rel = frozenset(rel)
-        self.eps = -1 if spec.flavor == ANTICOMMUTATIVE else 1
-        self.cache: dict[tuple[int, ...], _ClassRec] = {}
+        self.compose_ok = [[q.composable(a, b) for b in self.names]
+                           for a in self.names]
+        # arrow -> the arrows it may swap with
+        self.indep = [tuple(self.index[b] for b in self.names
+                            if spec.related(a, b)) for a in self.names]
+        # arrow v -> bitmask of the arrows u with u*v a monomial generator
+        self.mono_before = [0] * len(self.names)
+        for a, b in spec.monomials:
+            self.mono_before[self.index[b]] |= 1 << self.index[a]
+        self.eps = spec.relation_sign
+        self.forms: dict[tuple[int, ...], IndexForm] = {}
 
     def encode(self, word: Sequence[str]) -> tuple[int, ...]:
         try:
@@ -66,54 +62,55 @@ def context_for(spec: IdealSpec) -> _Ctx:
     return _Ctx(spec)
 
 
-@dataclass
-class _ClassRec:
-    rep: tuple[int, ...]
-    signs: dict[tuple[int, ...], int]  # member -> sign relative to rep
-    zero: bool
+def _trace(ctx: _Ctx, word: tuple[int, ...]
+           ) -> tuple[bool, int, tuple[int, ...]]:
+    """``(zero, sign, canonical)`` of the class of ``word``, with
+    ``word == sign * canonical`` modulo the relations."""
+    indep, mono_before = ctx.indep, ctx.mono_before
+    at = [0] * len(ctx.names)  # arrow -> bitmask of its positions
+    pred = []   # position -> earlier positions it must stay after
+    below = []  # position -> all positions below it in the order
+    zero = False
+    for j, y in enumerate(word):
+        free = 0
+        for x in indep[y]:
+            free |= at[x]
+        p = ((1 << j) - 1) & ~free
+        pred.append(p)
+        under = 0
+        while p:  # the covers of j, right to left
+            i = p.bit_length() - 1
+            if mono_before[y] >> word[i] & 1:
+                zero = True
+            under |= below[i] | (1 << i)
+            p &= ~under
+        below.append(under)
+        at[y] |= 1 << j
+    letters = sorted(set(word))
+    left = (1 << len(word)) - 1  # unplaced positions
+    canonical = []
+    inversions = 0
+    while left:
+        for x in letters:
+            m = at[x] & left
+            if m:
+                j = (m & -m).bit_length() - 1  # x's first unplaced occurrence
+                if not pred[j] & left:
+                    break
+        bit = 1 << j
+        left ^= bit
+        inversions += (left & (bit - 1)).bit_count()
+        canonical.append(x)
+    return zero, ctx.eps ** (inversions & 1), tuple(canonical)
 
 
-def _has_generator_factor(ctx: _Ctx, word: tuple[int, ...]) -> bool:
-    mono = ctx.mono
-    return any((word[i], word[i + 1]) in mono for i in range(len(word) - 1))
-
-
-def _explore(ctx: _Ctx, word: tuple[int, ...]) -> _ClassRec:
-    cached = ctx.cache.get(word)
-    if cached is not None:
-        return cached
-    eps = ctx.eps
-    rel = ctx.rel
-    signs = {word: 1}
-    zero = _has_generator_factor(ctx, word)
-    queue = [word]
-    while queue:
-        w = queue.pop()
-        s = signs[w]
-        for i in range(len(w) - 1):
-            x, y = w[i], w[i + 1]
-            if x == y or (x, y) not in rel:
-                continue
-            v = w[:i] + (y, x) + w[i + 2:]
-            ns = s * eps
-            old = signs.get(v)
-            if old is None:
-                signs[v] = ns
-                zero = zero or _has_generator_factor(ctx, v)
-                queue.append(v)
-            elif old != ns:
-                raise FalsificationError(
-                    "sign conflict while closing the class of "
-                    f"{'*'.join(ctx.decode(word))}: two rewrite routes assign "
-                    f"opposite signs to {'*'.join(ctx.decode(v))}")
-    rep = min(signs)
-    rebase = signs[rep]
-    if rebase != 1:
-        signs = {w: s * rebase for w, s in signs.items()}
-    rec = _ClassRec(rep, signs, zero)
-    for member in signs:
-        ctx.cache[member] = rec
-    return rec
+def _form(ctx: _Ctx, word: tuple[int, ...]) -> IndexForm:
+    try:
+        return ctx.forms[word]
+    except KeyError:
+        zero, sign, canonical = _trace(ctx, word)
+        form = ctx.forms[word] = None if zero else (sign, canonical)
+        return form
 
 
 def _as_word(spec: IdealSpec, m: Path | Sequence[str]) -> Word:
@@ -145,20 +142,31 @@ class SignedClass:
 
 
 def equivalence_class(spec: IdealSpec, m: Path | Sequence[str]) -> SignedClass:
-    """Close ``m`` under allowed adjacent transpositions.
+    """List the class of ``m`` by allowed adjacent transpositions.
 
-    ``zero`` is set when some member contains a monomial generator as a
-    factor, i.e. when the whole class lies in the ideal.
+    The representative is the canonical word, each member's sign is its
+    inversion parity against it, and ``zero`` is set when the class lies in
+    the ideal.  The class is built afresh on each call; nothing is cached.
     """
     word = _as_word(spec, m)
     if not word:
         raise IdealError("equivalence classes are defined for words of "
                          "degree >= 1")
     ctx = context_for(spec)
-    rec = _explore(ctx, ctx.encode(word))
-    members = tuple(
-        (ctx.decode(w), s) for w, s in sorted(rec.signs.items()))
-    return SignedClass(ctx.decode(rec.rep), members, rec.zero)
+    start = ctx.encode(word)
+    seen = {start}
+    queue = [start]
+    while queue:
+        w = queue.pop()
+        for i in range(len(w) - 1):
+            if w[i + 1] in ctx.indep[w[i]]:
+                v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+    zero, _, canonical = _trace(ctx, start)
+    members = tuple((ctx.decode(v), _trace(ctx, v)[1]) for v in sorted(seen))
+    return SignedClass(ctx.decode(canonical), members, zero)
 
 
 def monomial_in_ideal(spec: IdealSpec, m: Path | Sequence[str]) -> bool:
@@ -168,7 +176,7 @@ def monomial_in_ideal(spec: IdealSpec, m: Path | Sequence[str]) -> bool:
     if not word:
         return False
     ctx = context_for(spec)
-    return _explore(ctx, ctx.encode(word)).zero
+    return _form(ctx, ctx.encode(word)) is None
 
 
 def canonical_form(spec: IdealSpec, m: Path | Sequence[str]
@@ -181,16 +189,10 @@ def canonical_form(spec: IdealSpec, m: Path | Sequence[str]
         raise IdealError("canonical forms are defined for words of "
                          "degree >= 1")
     ctx = context_for(spec)
-    rec = _explore(ctx, ctx.encode(word))
-    if rec.zero:
-        return None
-    return rec.signs[ctx.encode(word)], ctx.decode(rec.rep)
+    form = _form(ctx, ctx.encode(word))
+    return None if form is None else (form[0], ctx.decode(form[1]))
 
 
-def canonical_index_form(ctx: _Ctx, word: tuple[int, ...]
-                         ) -> tuple[int, tuple[int, ...]] | None:
+def canonical_index_form(ctx: _Ctx, word: tuple[int, ...]) -> IndexForm:
     """Index-word variant of :func:`canonical_form` for engine hot paths."""
-    rec = _explore(ctx, word)
-    if rec.zero:
-        return None
-    return rec.signs[word], rec.rep
+    return _form(ctx, word)

@@ -80,8 +80,9 @@ def count_paths(spec: IdealSpec, degree: int) -> int:
 def _generator_rows(spec: IdealSpec, degree: int, field):
     """Rows spanning the degree slice of the ideal over the full path list:
     one ``{column: coefficient}`` row of at most two entries per product
-    p * generator * q.  Returns (column of each path, rows); the path order
-    defines the columns."""
+    p * generator * q, where a path holding several monomial generators
+    gets its unit row once.  Returns (column of each path, rows); the path
+    order defines the columns."""
     ctx = context_for(spec)
     col = {w: i for i, w in enumerate(enumerate_paths(spec, degree))}
     one = field.of(1)
@@ -97,6 +98,7 @@ def _generator_rows(spec: IdealSpec, degree: int, field):
         return cache[length]
 
     rows = []
+    units = set()  # columns whose unit row is already emitted
     for i in range(degree - 1):
         lefts = words_between(i)
         rights = words_between(degree - 2 - i)
@@ -107,11 +109,13 @@ def _generator_rows(spec: IdealSpec, degree: int, field):
                 for q in rights:
                     if q and not ctx.compose_ok[v][q[0]]:
                         continue
-                    row = {col[p + (u, v) + q]: one}
+                    c = col[p + (u, v) + q]
                     if is_rel:
                         # relation generator uv - eps*vu
-                        row[col[p + (v, u) + q]] = minus_eps
-                    rows.append(row)
+                        rows.append({c: one, col[p + (v, u) + q]: minus_eps})
+                    elif c not in units:
+                        units.add(c)
+                        rows.append({c: one})
     return col, rows
 
 

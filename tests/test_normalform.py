@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (FIXTURES, fixture_ideal, random_instance,
+from bfs_reference import BfsReference, ClassTooLarge
+from helpers import (FIXTURES, build, fixture_ideal, random_instance,
                      random_surviving_word)
 from pacqa.errors import IdealError
-from pacqa.normalform import (canonical_form, equivalence_class,
+from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
+from pacqa.normalform import (canonical_form, canonical_index_form,
+                              context_for, equivalence_class,
                               monomial_in_ideal)
 from pacqa.oracle import (SELF_CHECK_PATH_CAP, count_paths,
                           quotient_basis_upto, raw_monomial_in_ideal)
@@ -49,6 +52,24 @@ class TestEquivalenceClass:
         multiset = sorted(w("acdab"))
         for member in cls.words:
             assert sorted(member) == multiset
+
+    def test_members_canonicalize_to_representative(self):
+        rng = random.Random(3303)
+        specs = [fixture_ideal(name) for name in FIXTURES]
+        specs += [random_instance(rng) for _ in range(30)]
+        checked = 0
+        for spec in specs:
+            for _ in range(25):
+                word = random_surviving_word(rng, spec, max_len=7)
+                if word is None:
+                    continue
+                cls = equivalence_class(spec, word)
+                assert not cls.zero
+                for member, sign in cls.members:
+                    assert canonical_form(spec, member) == (
+                        sign, cls.representative)
+                    checked += 1
+        assert checked >= 1_000
 
 
 class TestMembership:
@@ -231,3 +252,102 @@ class TestTwoRouteAgreement:
             assert _raw_dimension(spec, degree) == algebra.dimensions[degree]
             compared += 1
         assert compared >= 300
+
+
+def loop_family(rng: random.Random, k: int, flavor: str):
+    """``k`` loops at one vertex, every pair related except a seeded set of
+    dropped pairs that carry one or both monomials instead; some squares
+    are generators."""
+    names = [f"l{i}" for i in range(k)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    rng.shuffle(pairs)
+    drop = rng.randint(0, k)
+    monomials = {(a, a) for a in names if rng.random() < 0.3}
+    for a, b in pairs[:drop]:
+        monomials.add((a, b) if rng.random() < 0.5 else (b, a))
+        if rng.random() < 0.3:
+            monomials |= {(a, b), (b, a)}
+    return build(["x"], [(a, "x", "x") for a in names], flavor,
+                 monomials=sorted(monomials), relations=pairs[drop:])
+
+
+def random_index_word(rng: random.Random, ctx, degree: int):
+    """A random composable index word of ``degree``, drawn mostly from a
+    random sub-alphabet so classes of every size occur; None on a dead
+    end."""
+    n = len(ctx.names)
+    alphabet = rng.sample(range(n), rng.randint(1, n))
+    word = [rng.choice(alphabet)]
+    while len(word) < degree:
+        nxt = [j for j in range(n) if ctx.compose_ok[word[-1]][j]]
+        if not nxt:
+            return None
+        inside = [j for j in nxt if j in alphabet]
+        word.append(rng.choice(inside or nxt))
+    return tuple(word)
+
+
+class TestTraceAgainstBfsReference:
+    """The trace normal form against the breadth-first class closure, on
+    random words of degree 1-12: zero test, canonical word and sign."""
+
+    def test_random_words(self):
+        rng = random.Random(2024)
+        specs = [fixture_ideal(name) for name in FIXTURES]
+        specs += [random_instance(rng) for _ in range(40)]
+        specs += [loop_family(rng, k, flavor) for k in range(4, 9)
+                  for flavor in (COMMUTATIVE, ANTICOMMUTATIVE)
+                  for _ in range(3)]
+        refs = [BfsReference(spec, limit=500) for spec in specs]
+        per_degree = [0] * 13
+        zero = negative = too_large = 0
+        for _ in range(12_000):
+            pick = rng.randrange(len(specs))
+            spec, ctx = specs[pick], context_for(specs[pick])
+            degree = rng.randint(1, 12)
+            word = random_index_word(rng, ctx, degree)
+            if word is None:
+                continue
+            try:
+                expected = refs[pick].form(word)
+            except ClassTooLarge:
+                too_large += 1
+                continue
+            assert canonical_index_form(ctx, word) == expected, \
+                (spec, ctx.decode(word))
+            assert monomial_in_ideal(spec, ctx.decode(word)) == (
+                expected is None)
+            per_degree[degree] += 1
+            zero += expected is None
+            negative += expected is not None and expected[0] == -1
+        assert sum(per_degree) >= 10_000
+        assert min(per_degree[1:]) >= 500
+        assert zero >= 2_000 and negative >= 200
+        assert too_large <= 1_000
+
+
+class TestFormMemo:
+    """The memo keeps one entry per distinct queried word, whatever the
+    size of its class."""
+
+    def test_one_entry_per_queried_word(self):
+        names = [f"l{i}" for i in range(8)]
+        spec = build(["x"], [(a, "x", "x") for a in names], COMMUTATIVE,
+                     relations=[(a, b) for i, a in enumerate(names)
+                                for b in names[i + 1:]])
+        forms = context_for(spec).forms
+        # 8 distinct letters, two of them twice: 10!/(2!2!) = 907,200
+        # members in the class
+        big = tuple(reversed(names)) + ("l7", "l6")
+        assert canonical_form(spec, big) == (1, tuple(sorted(big)))
+        assert not monomial_in_ideal(spec, big)
+        assert len(forms) == 1
+        rng = random.Random(40)
+        long = [a for a in names for _ in range(5)]
+        rng.shuffle(long)
+        long = tuple(long)
+        assert canonical_form(spec, long) == (1, tuple(sorted(long)))
+        assert canonical_form(spec, long) == (1, tuple(sorted(long)))
+        assert len(forms) == 2
+        assert canonical_form(spec, sorted(long)) == (1, tuple(sorted(long)))
+        assert len(forms) == 3

@@ -203,3 +203,38 @@ class TestRawSpanMemo:
                         "--max-degree", "6"]) == 0
             assert built, name
             assert max(built.values()) == 1, (name, built)
+
+
+class TestGeneratorRows:
+    # _raw_dimension at degrees 2..6, recorded before duplicate unit rows
+    # were dropped
+    RAW_DIMENSIONS = {
+        "comm_two_loops_arrow": [2, 0, 0, 0, 0],
+        "monomial_two_loops_two_arrows": [3, 0, 0, 0, 0],
+        "anti_four_loops_free_pair": [7, 8, 8, 8, 8],
+        "anti_two_loops_arrow": [4, 5, 6, 7, 8],
+        "comm_four_loops_arrow_out": [12, 24, 42, 67, 100],
+        "anti_four_loops_full": [5, 2, 0, 0, 0],
+    }
+
+    def test_rows_are_distinct(self):
+        from pacqa.linalg import field_for
+        from pacqa.oracle import _generator_rows
+
+        for name in FIXTURES:
+            spec = fixture_ideal(name)
+            for degree in range(2, 7):
+                _, rows = _generator_rows(spec, degree,
+                                          field_for(spec.field_char))
+                keys = {frozenset(row.items()) for row in rows}
+                assert len(keys) == len(rows), (name, degree)
+
+    def test_raw_dimension_unchanged(self):
+        from pacqa.oracle import _raw_dimension
+
+        for name in FIXTURES:
+            spec = fixture_ideal(name)
+            dims = [_raw_dimension(spec, d) for d in range(2, 7)]
+            assert dims == self.RAW_DIMENSIONS[name], name
+            algebra = quotient_basis_upto(spec, 6, self_check=False)
+            assert dims == list(algebra.dimensions[2:]), name
