@@ -2,8 +2,9 @@
 
 For a square-free ideal the positive part of the center has a monomial
 basis.  In the commutative flavor a monomial is central iff its support is a
-clique of loops in the relation graph and every other arrow either extends
-the clique or is annihilated by it in both directions.  In the
+clique of loops at one vertex and every other arrow either extends the
+clique or is annihilated by it in both directions; only arrows at that
+vertex can fail, so statuses are read off bitmasks over them.  In the
 anticommutative flavor the same support condition applies, with parity on
 top: even-degree central monomials carry every arrow an even number of
 times, odd-degree ones carry every arrow an odd number of times and need
@@ -14,10 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial, reduce
+from operator import or_
 from typing import Iterator, Sequence
 
 from .errors import FalsificationError, HypothesisError, IdealError
-from .graphs import MixedGraph, enumerate_cliques, is_admissible, relation_graph
+from .graphs import fold_cliques, is_admissible
 from .ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec, _per_ideal,
                     is_square_free, orthogonal)
 from .normalform import canonical_form, monomial_in_ideal
@@ -171,59 +174,74 @@ class CliqueStatus:
     extender: str | None  # first outsider passing only via extension
 
 
-def _outsider_killed(g: MixedGraph, clique: Sequence[str], b: str
-                     ) -> tuple[bool, str | None]:
-    into = any(g.has_edge(c, b) for c in clique)
-    back = any(g.has_edge(b, c) for c in clique)
-    if into and back:
-        return True, None
-    if not into:
-        return False, f"{'{' + ','.join(clique) + '}'} -> {b}"
-    return False, f"{b} -> {'{' + ','.join(clique) + '}'}"
-
-
-def clique_status(spec: IdealSpec, g: MixedGraph, clique: Sequence[str]
-                  ) -> CliqueStatus:
+def _loop_masks(spec: IdealSpec, vertex: str, loops: Sequence[str]
+                ) -> tuple[tuple[str, ...], dict[int, tuple[int, ...]]]:
+    """The arrows at ``vertex``, and for each of ``loops`` its index among
+    them with four bitmasks over them: the loop ``c`` itself, the ``b`` with
+    ``c*b = 0``, the ``b`` with ``b*c = 0`` (by endpoints or a generator) and
+    the ``b`` not related to ``c``.  ORed over a clique's members they give
+    its members, ``into``, ``back`` and ``apart`` (the others extend it)."""
     q = spec.quiver
-    members = set(clique)
-    central_ok = True
-    kill_only = True
-    blocker = None
-    blocker_missing = None
-    extender = None
-    for b in q.arrow_names:
-        if b in members:
-            continue
-        killed, missing = _outsider_killed(g, clique, b)
-        extends = (b in g.loops
-                   and all(g.joined(b, c) for c in clique)
-                   and q.origin(b) == q.origin(clique[0]))
-        if not killed:
-            kill_only = False
-            if extends and extender is None:
-                extender = b
-        if not (killed or extends) and central_ok:
-            central_ok = False
-            blocker = b
-            blocker_missing = missing
-    return CliqueStatus(
-        clique=tuple(clique),
-        basepoint=q.origin(clique[0]),
-        central_ok=central_ok,
-        kill_only=kill_only,
-        blocker=blocker,
-        blocker_missing=blocker_missing,
-        extender=extender,
-    )
+    arrows = q.incidence[vertex]
+    ends = [q.arrow(b) for b in arrows]
+    enter = sum(1 << i for i, b in enumerate(ends) if b.origin != vertex)
+    leave = sum(1 << i for i, b in enumerate(ends) if b.target != vertex)
+    mono, related = spec.monomial_set, spec.relation_set
+    rows = {}
+    for c in loops:
+        after, before, apart = enter, leave, 0
+        for i, b in enumerate(arrows):
+            if (c, b) in mono:
+                after |= 1 << i
+            if (b, c) in mono:
+                before |= 1 << i
+            if (c, b) not in related:
+                apart |= 1 << i
+        k = arrows.index(c)
+        rows[k] = 1 << k, after, before, apart
+    return arrows, rows
+
+
+def _grow(rows: dict[int, tuple[int, ...]], state: Sequence[int], k: int
+          ) -> tuple[int, ...]:
+    return tuple(map(or_, state, rows[k]))
+
+
+def _status(arrows: Sequence[str], vertex: str, clique: tuple[str, ...],
+            members: int, into: int, back: int, apart: int) -> CliqueStatus:
+    live = ((1 << len(arrows)) - 1) & ~(members | into & back)
+    failing, extending = live & apart, live & ~apart
+    blocker = missing = extender = None
+    if failing:
+        low = failing & -failing
+        blocker = arrows[low.bit_length() - 1]
+        block = "{" + ",".join(clique) + "}"
+        missing = (f"{blocker} -> {block}" if into & low
+                   else f"{block} -> {blocker}")
+    if extending:
+        extender = arrows[(extending & -extending).bit_length() - 1]
+    return CliqueStatus(clique, vertex, not failing, not live, blocker,
+                        missing, extender)
 
 
 @_per_ideal
 def loop_clique_statuses(spec: IdealSpec) -> tuple[CliqueStatus, ...]:
     """Status of every clique of loops in the relation graph, in
-    deterministic (size, vertex list) order."""
-    g = relation_graph(spec)
-    cliques = enumerate_cliques(g, loops_only=True)
-    return tuple(clique_status(spec, g, c.vertices) for c in cliques)
+    deterministic (size, vertex list) order.  Relations join only co-based
+    loops, and only arrows at a clique's vertex can fail to be annihilated,
+    so each vertex is scanned on its own, masks folded down the cliques."""
+    out = []
+    for v in spec.quiver.vertices:
+        arrows, rows = _loop_masks(spec, v, spec.quiver.loops_at(v))
+        adjacency = [~rows[k][3] if k in rows else 0
+                     for k in range(len(arrows))]
+        for members, state in fold_cliques(
+                adjacency, sum(row[0] for row in rows.values()),
+                partial(_grow, rows), (0, 0, 0, 0)):
+            clique = tuple(arrows[k] for k in members)
+            out.append(_status(arrows, v, clique, *state))
+    out.sort(key=lambda st: (len(st.clique), spec.quiver.word_key(st.clique)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -233,7 +251,7 @@ class Centrality:
 
 
 def is_central_monomial(spec: IdealSpec, m: Path | Sequence[str]) -> Centrality:
-    """Decide centrality of a monomial from the relation graph."""
+    """Decide centrality of a monomial from the masks of its support."""
     require_hypotheses(spec)
     word = m.arrows if isinstance(m, Path) else tuple(m)
     if not word:
@@ -245,14 +263,16 @@ def is_central_monomial(spec: IdealSpec, m: Path | Sequence[str]) -> Centrality:
     base = {q.origin(a) for a in support} | {q.target(a) for a in support}
     if len(base) != 1:
         return Centrality(False, "not a product of loops at one vertex")
-    g = relation_graph(spec)
     for i, a in enumerate(support):
         for b in support[i + 1:]:
-            if not g.joined(a, b):
+            if not spec.related(a, b):
                 return Centrality(
                     False, f"support is not a clique: {a} and {b} do not "
                            "commute by a relation")
-    status = clique_status(spec, g, support)
+    vertex = base.pop()
+    arrows, rows = _loop_masks(spec, vertex, support)
+    state = reduce(partial(_grow, rows), rows, (0, 0, 0, 0))
+    status = _status(arrows, vertex, tuple(support), *state)
     if spec.flavor == COMMUTATIVE:
         if status.central_ok:
             return Centrality(True, "support clique extends or annihilates "
@@ -329,22 +349,13 @@ def central_monomials_upto(spec: IdealSpec,
     by_degree: list[tuple[int, tuple[CenterElement, ...]]] = []
     for d in range(1, max_degree + 1):
         words: list[tuple[Word, str]] = []
+        # any multiplicities (commutative), even ones at even degree, odd
+        # ones at odd degree over blocks that annihilate every outsider
+        least, step = (2 - d % 2, 2) if anti else (1, 1)
         for st in statuses:
-            k = len(st.clique)
-            if not anti:
-                if not st.central_ok:
-                    continue
-                for mult in _compositions(d, k, 1, 1):
+            if st.kill_only if anti and d % 2 else st.central_ok:
+                for mult in _compositions(d, len(st.clique), least, step):
                     words.append((_sorted_word(st.clique, mult), st.basepoint))
-            else:
-                if d % 2 == 0 and st.central_ok:
-                    for mult in _compositions(d, k, 2, 2):
-                        words.append(
-                            (_sorted_word(st.clique, mult), st.basepoint))
-                if d % 2 == 1 and st.kill_only:
-                    for mult in _compositions(d, k, 1, 2):
-                        words.append(
-                            (_sorted_word(st.clique, mult), st.basepoint))
         words.sort(key=lambda pair: q.word_key(pair[0]))
         elements = []
         for word, basepoint in words:
@@ -389,8 +400,6 @@ def center_is_trivial_at(spec: IdealSpec, vertex: str) -> TrivialityResult:
     q = spec.quiver
     if vertex not in q.vertices:
         raise IdealError(f"unknown vertex {vertex!r}")
-    if not q.loops_at(vertex):
-        return TrivialityResult(True, vertex, None, ())
     scanned: list[tuple[tuple[str, ...], str]] = []
     for st in loop_clique_statuses(spec):
         if st.basepoint != vertex:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .center import (CliqueStatus, center_is_trivial_at, loop_clique_statuses,
                      require_hypotheses, require_loop_hypotheses)
-from .errors import FalsificationError, HypothesisError, PacqaError
+from .errors import FalsificationError, HypothesisError
 from .ideal import ANTICOMMUTATIVE, IdealSpec
 
 Word = tuple[str, ...]
@@ -68,17 +68,15 @@ class FinGenVerdict:
 
 def necessary_condition_s(spec: IdealSpec, vertex: str) -> SCondition:
     """Compute the necessary-condition set at one vertex directly from the
-    generator lists (independently of the relation-graph scan)."""
+    generator lists (independently of the clique-mask scan)."""
     require_loop_hypotheses(spec)
     triviality = center_is_trivial_at(spec, vertex)
     if triviality.trivial:
         return SCondition(S_TRIVIAL, ())
     q = spec.quiver
     loops = q.loops_at(vertex)
-    incoming = [c for c in q.arrow_names
-                if q.target(c) == vertex and q.origin(c) != vertex]
-    outgoing = [d for d in q.arrow_names
-                if q.origin(d) == vertex and q.target(d) != vertex]
+    incoming = [c for c in q.incidence[vertex] if q.origin(c) != vertex]
+    outgoing = [d for d in q.incidence[vertex] if q.target(d) != vertex]
     chosen = []
     for a in loops:
         if not all(spec.related(a, b) for b in loops if b != a):
@@ -91,14 +89,6 @@ def necessary_condition_s(spec: IdealSpec, vertex: str) -> SCondition:
     if chosen:
         return SCondition(S_SET, tuple(chosen))
     return SCondition(S_FAIL, ())
-
-
-def _singleton_status(statuses: tuple[CliqueStatus, ...], arrow: str
-                      ) -> CliqueStatus:
-    for st in statuses:
-        if st.clique == (arrow,):
-            return st
-    raise PacqaError(f"no singleton clique recorded for loop {arrow!r}")
 
 
 def _check_s_consistency(spec: IdealSpec,
@@ -151,11 +141,12 @@ def loop_supported_verdict(spec: IdealSpec) -> FinGenVerdict:
     if not fulfilling:
         return FinGenVerdict(TRIVIAL, (), None, s_sets, ())
     witness = None
+    singles = {st.clique[0]: st for st in statuses if len(st.clique) == 1}
     for st in fulfilling:
         if len(st.clique) == 1:
             continue
         for member in st.clique:
-            single = _singleton_status(statuses, member)
+            single = singles[member]
             if not single.central_ok:
                 witness = InfiniteWitness(
                     clique=st.clique,

@@ -1,17 +1,17 @@
 """Mixed graphs on the arrow set: generator graphs, relation graphs,
-directed-cycle detection, clique enumeration and DOT export.
+directed-cycle detection, bitmask clique enumeration and DOT export.
 
 The generator graph of an ideal has one vertex per arrow, a directed edge
 ``a -> b`` per monomial generator ``ab`` (squares give self-loops) and an
-undirected edge per relation pair.  The relation graph of the quotient
-algebra additionally has a directed edge for every ordered pair whose
-composition is zero for endpoint reasons; self-pairs of non-loops are not
-drawn (they carry no information about the quotient).
+undirected edge per relation pair.  The relation graph of the quotient adds
+a directed edge per ordered pair that is zero for endpoint reasons (not for
+self-pairs of non-loops).  It is built only for ``dot --graph rel`` and the
+API; :mod:`pacqa.center` reads its edges per vertex off bitmasks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 from .ideal import IdealSpec, _per_ideal, orthogonal
 
@@ -26,24 +26,6 @@ class MixedGraph:
     undirected: tuple[tuple[str, str], ...]
     kind: str
     loops: frozenset[str] = frozenset()  # vertices that are quiver loops
-
-    @cached_property
-    def directed_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.directed)
-
-    @cached_property
-    def undirected_adjacency(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a, b in self.undirected:
-            adj[a].add(b)
-            adj[b].add(a)
-        return {v: frozenset(s) for v, s in adj.items()}
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return (a, b) in self.directed_set
-
-    def joined(self, a: str, b: str) -> bool:
-        return b in self.undirected_adjacency[a]
 
 
 def generator_graph(spec: IdealSpec) -> MixedGraph:
@@ -152,37 +134,47 @@ class Clique:
     maximal: bool
 
 
+def fold_cliques(adjacency: Sequence[int], candidates: int, step: Callable,
+                 state, members: tuple[int, ...] = ()
+                 ) -> Iterator[tuple[tuple[int, ...], object]]:
+    """Every nonempty clique among the ``candidates`` bits of the graph on
+    ``0..n-1`` (``adjacency[i]`` is the bitmask of ``i``'s neighbours), as
+    ``(members ascending, state)``.  ``state`` is folded by ``step(state, i)``
+    down the candidate-set recursion (Bron-Kerbosch, CACM 1973), so a
+    clique's bit-parallel summary costs one ``step`` over its parent's."""
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        i = low.bit_length() - 1
+        clique, folded = members + (i,), step(state, i)
+        yield clique, folded
+        yield from fold_cliques(adjacency, candidates & adjacency[i], step,
+                                folded, clique)
+
+
 def enumerate_cliques(g: MixedGraph, loops_only: bool = False
                       ) -> tuple[Clique, ...]:
     """All nonempty cliques of the undirected subgraph, optionally restricted
     to loop vertices, sorted by (size, vertex list).  Maximality is judged
-    within the same vertex domain."""
-    domain = [v for v in g.vertices if not loops_only or v in g.loops]
-    adj = g.undirected_adjacency
-    found: list[tuple[str, ...]] = []
-
-    def grow(base: tuple[str, ...], candidates: list[str]) -> None:
-        for i, v in enumerate(candidates):
-            clique = base + (v,)
-            found.append(clique)
-            grow(clique, [w for w in candidates[i + 1:] if w in adj[v]])
-
-    grow((), domain)
-    domain_set = set(domain)
-    order = {v: i for i, v in enumerate(g.vertices)}
-    found.sort(key=lambda c: (len(c), tuple(order[v] for v in c)))
-    cliques = []
-    for members in found:
-        member_set = set(members)
-        maximal = not any(
-            w in domain_set and member_set <= adj[w]
-            for w in domain_set - member_set)
-        cliques.append(Clique(
-            vertices=members,
-            all_loops=all(v in g.loops for v in members),
-            maximal=maximal,
-        ))
-    return tuple(cliques)
+    within the same vertex domain: no domain vertex joins every member."""
+    names = g.vertices
+    bit = {v: 1 << i for i, v in enumerate(names)}
+    domain = sum(bit[v] for v in names if not loops_only or v in g.loops)
+    joined = dict.fromkeys(names, 0)
+    for a, b in g.undirected:
+        joined[a] |= bit[b]
+        joined[b] |= bit[a]
+    adjacency = [joined[v] & domain for v in names]
+    # the state is the set of domain vertices joining every member
+    found = sorted(fold_cliques(adjacency, domain,
+                                lambda common, i: common & adjacency[i],
+                                domain),
+                   key=lambda pair: (len(pair[0]), pair[0]))
+    return tuple(Clique(
+        vertices=tuple(names[i] for i in members),
+        all_loops=all(names[i] in g.loops for i in members),
+        maximal=not common,
+    ) for members, common in found)
 
 
 def to_dot(g: MixedGraph) -> str:

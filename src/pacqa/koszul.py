@@ -18,7 +18,7 @@ first member, which the bounded sweep then finds or rules out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .center import center_is_trivial_at, require_loop_hypotheses
 from .errors import FalsificationError, HypothesisError
@@ -152,16 +152,9 @@ def _dual_center_verdict(dual: IdealSpec, max_degree: int
         "rotation pairs: its rotation sums are non-nilpotent central "
         "elements, so HH*/N is not trivial; each such family is generated "
         "by its first necklace")
-    status = verdict.status
-    if status == TRIVIAL:
-        status = FINITELY_GENERATED
-    return FinGenVerdict(
-        status=status,
-        generators=verdict.generators,
-        witness=verdict.witness,
-        s_sets=verdict.s_sets,
-        fulfilling_cliques=verdict.fulfilling_cliques,
-    ), notes
+    if verdict.status == TRIVIAL:
+        verdict = replace(verdict, status=FINITELY_GENERATED)
+    return verdict, notes
 
 
 def hochschild_fg(pres: AlgebraPresentation,

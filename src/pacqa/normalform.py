@@ -16,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import IdealError, QuiverError
+from .errors import BudgetError, IdealError, QuiverError
 from .ideal import IdealSpec, _per_ideal
 from .quiver import Path
 
 Word = tuple[str, ...]
 IndexForm = tuple[int, tuple[int, ...]] | None  # (sign, canonical) or zero
+
+CLASS_MEMBER_CAP = 50_000  # equivalence_class lists at most this many
 
 
 class _Ctx:
@@ -147,6 +149,7 @@ def equivalence_class(spec: IdealSpec, m: Path | Sequence[str]) -> SignedClass:
     The representative is the canonical word, each member's sign is its
     inversion parity against it, and ``zero`` is set when the class lies in
     the ideal.  The class is built afresh on each call; nothing is cached.
+    Past :data:`CLASS_MEMBER_CAP` members it raises :class:`BudgetError`.
     """
     word = _as_word(spec, m)
     if not word:
@@ -164,6 +167,8 @@ def equivalence_class(spec: IdealSpec, m: Path | Sequence[str]) -> SignedClass:
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
+        if len(seen) > CLASS_MEMBER_CAP:
+            raise BudgetError(f"class of over {CLASS_MEMBER_CAP} members")
     zero, _, canonical = _trace(ctx, start)
     members = tuple((ctx.decode(v), _trace(ctx, v)[1]) for v in sorted(seen))
     return SignedClass(ctx.decode(canonical), members, zero)

@@ -67,8 +67,17 @@ class Quiver:
         return tuple(a.name for a in self.arrows if a.origin == a.target)
 
     def loops_at(self, vertex: str) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrows
-                     if a.origin == vertex and a.target == vertex)
+        at = self.incidence.get(vertex, ())
+        return tuple(a for a in at if self.is_loop(a))
+
+    @cached_property
+    def incidence(self) -> dict[str, tuple[str, ...]]:
+        """Vertex -> its out-, in-arrows and loops, in declaration order."""
+        at: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            for v in dict.fromkeys((a.origin, a.target)):
+                at[v].append(a.name)
+        return {v: tuple(names) for v, names in at.items()}
 
     def composable(self, first: str, second: str) -> bool:
         """True when the length-2 word ``first second`` is a path."""
@@ -266,8 +275,7 @@ def vertex_subquiver(quiver: Quiver, vertex: str) -> Quiver:
     incident to it, and the endpoints of those arrows."""
     if vertex not in quiver.vertices:
         raise QuiverError(f"unknown vertex {vertex!r}")
-    incident = [a for a in quiver.arrows
-                if a.origin == vertex or a.target == vertex]
+    incident = [quiver.arrow(a) for a in quiver.incidence[vertex]]
     keep = {vertex}
     for a in incident:
         keep.add(a.origin)

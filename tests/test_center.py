@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from helpers import build, fixture_ideal, two_loop_polynomial
-from pacqa.center import (center_is_trivial_at, central_monomials_upto,
-                          even_center_upto, graded_center_upto,
-                          is_central_monomial)
-from pacqa.errors import HypothesisError
-from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE, restrict
+import clique_reference as reference
+from helpers import (FIXTURES, build, fixture_ideal, random_instance,
+                     two_loop_polynomial)
+from pacqa.center import (Centrality, center_is_trivial_at,
+                          central_monomials_upto, even_center_upto,
+                          graded_center_upto, is_central_monomial,
+                          loop_clique_statuses)
+from pacqa.errors import HypothesisError, PacqaError
+from pacqa.fingen import center_finitely_generated
+from pacqa.graphs import relation_graph
+from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec, restrict,
+                         validate_ideal)
 from pacqa.koszul import dual_ideal
+from pacqa.quiver import build_quiver
 
 
 def w(text: str) -> tuple[str, ...]:
@@ -173,3 +182,164 @@ class TestEvenAndGradedCenter:
                      ANTICOMMUTATIVE, relations=[("a", "b")], char=2)
         with pytest.raises(HypothesisError):
             graded_center_upto(spec, 4)
+
+
+def _chain(rng: random.Random, n: int) -> IdealSpec:
+    """``n`` vertices with two or three loops each and forward arrows, some
+    back arrows closing killed triangles, and seeded kills between the
+    loops off the triangles and the arrows next to them; inside the theorem
+    hypotheses."""
+    vertices = [f"v{i}" for i in range(n)]
+    arrows, loops = [], []
+    for i, v in enumerate(vertices):
+        here = [f"l{i}{j}" for j in range(rng.choice([2, 3]))]
+        rng.shuffle(here)
+        loops.append(here)
+        arrows += [(a, v, v) for a in here]
+    arrows += [(f"f{i}", vertices[i], vertices[i + 1]) for i in range(n - 1)]
+    back = [i for i in range(0, n - 2, 3) if rng.random() < 0.5]
+    arrows += [(f"h{i}", vertices[i + 2], vertices[i]) for i in back]
+    rng.shuffle(arrows)
+    quiver = build_quiver(vertices, arrows)
+    monomials, relations = set(), set()
+    for i in back:
+        monomials |= {(f"f{i + 1}", f"h{i}"), (f"h{i}", f"f{i}")}
+    on_cycle = {vertices[i + j] for i in back for j in range(3)}
+    for here in loops:
+        for x, a in enumerate(here):
+            for b in here[x + 1:]:
+                if rng.random() < 0.7:
+                    relations.add((a, b))
+                elif rng.random() < 0.5:
+                    monomials.add((a, b) if rng.random() < 0.5 else (b, a))
+    for v in quiver.vertices:
+        if v in on_cycle:
+            continue
+        rate = rng.choice([1.0, 0.5])
+        for a in quiver.loops_at(v):
+            for b in quiver.incidence[v]:
+                if quiver.origin(b) != v and rng.random() < rate:
+                    monomials.add((b, a))
+                if quiver.target(b) != v and rng.random() < rate:
+                    monomials.add((a, b))
+    return validate_ideal(quiver, COMMUTATIVE if rng.random() < 0.5
+                          else ANTICOMMUTATIVE, sorted(monomials),
+                          sorted(relations))
+
+
+def _loop_family(rng: random.Random, k: int, flavor: str) -> IdealSpec:
+    """``k`` loops at ``x``, every pair related but a few, and arrows out of
+    and into ``x`` that seeded loops annihilate."""
+    names = [f"l{i}" for i in range(k)]
+    arrows = [(a, "x", "x") for a in names]
+    arrows += [("e", "x", "y"), ("g", "z", "x"), ("w", "y", "y")][
+        :rng.choice([0, 1, 3])]
+    rng.shuffle(arrows)
+    quiver = build_quiver(["x", "y", "z"], arrows)
+    monomials, relations = set(), set()
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if rng.random() < 0.85:
+                relations.add((a, b))
+            elif rng.random() < 0.5:
+                monomials.add((a, b))
+    for a in names:
+        if "e" in quiver.arrow_names and rng.random() < 0.7:
+            monomials.add((a, "e"))
+        if "g" in quiver.arrow_names and rng.random() < 0.7:
+            monomials.add(("g", a))
+    return validate_ideal(quiver, flavor, sorted(monomials), sorted(relations))
+
+
+def _probe_words(rng: random.Random, spec: IdealSpec, statuses):
+    """Words over sampled cliques, random loop words at one vertex and
+    random paths."""
+    q = spec.quiver
+    for st in rng.sample(statuses, min(len(statuses), 25)):
+        word = [a for a in st.clique for _ in range(rng.randint(1, 3))]
+        rng.shuffle(word)
+        yield tuple(word)
+    for v in q.vertices:
+        if q.loops_at(v):
+            yield tuple(rng.choice(q.loops_at(v))
+                        for _ in range(rng.randint(1, 5)))
+    for _ in range(5):
+        word = [rng.choice(q.arrow_names)]
+        for _ in range(rng.randint(0, 3)):
+            nxt = [b for b in q.arrow_names if q.composable(word[-1], b)]
+            if not nxt:
+                break
+            word.append(rng.choice(nxt))
+        yield tuple(word)
+
+
+def _outcome(fn, spec, word):
+    try:
+        return fn(spec, word)
+    except PacqaError as exc:
+        return type(exc), str(exc)
+
+
+class TestCliqueStatusAgainstReference:
+    """The per-vertex bitmask scan against the all-pairs scan it replaced
+    (``tests/clique_reference.py``): every status field, and the verdict
+    and reason of ``is_central_monomial``."""
+
+    def _compare(self, spec, rng) -> int:
+        """The number of words given a verdict rather than an error."""
+        statuses = loop_clique_statuses(spec)
+        assert statuses == reference.loop_clique_statuses(spec)
+        decided = 0
+        for word in _probe_words(rng, spec, statuses):
+            got = _outcome(is_central_monomial, spec, word)
+            assert got == _outcome(reference.is_central_monomial, spec, word)
+            decided += isinstance(got, Centrality)
+        return decided
+
+    def test_fixtures(self):
+        rng = random.Random(7)
+        assert sum(self._compare(fixture_ideal(name), rng)
+                   for name in FIXTURES) >= 20
+
+    def test_random_instances(self):
+        decided = sum(self._compare(random_instance(random.Random(seed)),
+                                    random.Random(seed))
+                      for seed in range(500))
+        assert decided >= 1_000
+
+    def test_chains(self):
+        rng = random.Random(11)
+        decided = blocked = 0
+        for _ in range(60):
+            spec = _chain(rng, rng.randint(3, 8))
+            decided += self._compare(spec, rng)
+            blocked += sum(st.blocker is not None
+                           for st in loop_clique_statuses(spec))
+        assert decided >= 1_000 and blocked >= 100
+
+    @pytest.mark.parametrize("flavor", [COMMUTATIVE, ANTICOMMUTATIVE])
+    def test_loop_families(self, flavor):
+        rng = random.Random(13)
+        kinds = set()
+        for k in range(4, 11):
+            for _ in range(3):
+                spec = _loop_family(rng, k, flavor)
+                assert self._compare(spec, rng)
+                kinds |= {(st.central_ok, st.kill_only,
+                           st.extender is not None)
+                          for st in loop_clique_statuses(spec)}
+        assert len(kinds) >= 3
+
+
+def test_center_and_fingen_build_no_relation_graph():
+    def graphs(spec):
+        return [key for key in spec.__dict__ if "relation_graph" in key]
+
+    spec = _chain(random.Random(5), 12)
+    assert central_monomials_upto(spec, 3).by_degree
+    assert center_finitely_generated(spec).status
+    for st in loop_clique_statuses(spec):
+        is_central_monomial(spec, st.clique)
+    assert not graphs(spec)
+    relation_graph(spec)  # still built on request, for dot and the API
+    assert graphs(spec)

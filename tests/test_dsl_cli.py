@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import pacqa
 
 from helpers import FIXTURES, fixture_doc, fixture_path, fixture_text
 from pacqa.cli import run
@@ -208,6 +214,25 @@ class TestCli:
             run(["--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: pacqa")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["validate", fixture_path("anti_two_loops_arrow"),
+          "--max-degree", "abc"], 1),
+    ], ids=["help", "non-integer-bound"])
+    def test_python_dash_m(self, argv, code):
+        src = str(Path(pacqa.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run([sys.executable, "-m", "pacqa", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert done.stdout.startswith("usage: pacqa")
+        else:
+            assert done.stderr.startswith("error: ")
 
     def test_center_erratum_notice(self, capsys):
         code = run(["center", "--max-degree", "6",

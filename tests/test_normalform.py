@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 from bfs_reference import BfsReference, ClassTooLarge
 from helpers import (FIXTURES, build, fixture_ideal, random_instance,
                      random_surviving_word)
-from pacqa.errors import IdealError
+from pacqa.errors import BudgetError, IdealError
 from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
-from pacqa.normalform import (canonical_form, canonical_index_form,
-                              context_for, equivalence_class,
-                              monomial_in_ideal)
+from pacqa.normalform import (CLASS_MEMBER_CAP, canonical_form,
+                              canonical_index_form, context_for,
+                              equivalence_class, monomial_in_ideal)
 from pacqa.oracle import (SELF_CHECK_PATH_CAP, count_paths,
                           quotient_basis_upto, raw_monomial_in_ideal)
 
@@ -70,6 +71,23 @@ class TestEquivalenceClass:
                         sign, cls.representative)
                     checked += 1
         assert checked >= 1_000
+
+
+class TestClassBudget:
+    def test_huge_class_raises_promptly(self):
+        names = [f"l{i}" for i in range(8)]
+        spec = build(["x"], [(a, "x", "x") for a in names], COMMUTATIVE,
+                     relations=[(a, b) for i, a in enumerate(names)
+                                for b in names[i + 1:]])
+        # 10!/(2!2!) = 907,200 members
+        big = tuple(reversed(names)) + ("l7", "l6")
+        start = time.process_time()
+        with pytest.raises(BudgetError):
+            equivalence_class(spec, big)
+        assert time.process_time() - start < 5.0
+        # the cap itself is reachable: 8! = 40,320 members
+        assert len(equivalence_class(spec, names).members) == 40_320
+        assert 40_320 <= CLASS_MEMBER_CAP
 
 
 class TestMembership:
