@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import __version__
-from .center import (CenterBasis, central_monomials_upto, graded_center_upto,
-                     hypothesis_report)
+from .center import (DEFAULT_MAX_DEGREE, CenterBasis, central_monomials_upto,
+                     graded_center_upto, hypothesis_report)
 from .dsl import SpecDocument, parse_spec
 from .errors import (FalsificationError, HypothesisError, InputError,
                      PacqaError)
@@ -27,7 +27,6 @@ from .oracle import (oracle_center_upto, oracle_fg_evidence,
                      oracle_nilpotence_check, quotient_basis_upto,
                      raw_monomial_in_ideal)
 
-DEFAULT_MAX_DEGREE = 8
 COMMANDS = ("validate", "admissible", "orthogonal", "center", "fingen",
             "dual", "hochschild", "oracle-check", "dot")
 
@@ -352,7 +351,8 @@ def _cmd_oracle_check(doc: SpecDocument, args) -> _Outcome:
                    "normal-form membership vs raw span membership"))
 
     hypo = hypothesis_report(spec)
-    if hypo["square_free"] and hypo["orthogonal_admissible"]:
+    if (hypo["square_free"] and hypo["orthogonal_admissible"]
+            and hypo["loop_supported"]):
         theorem = central_monomials_upto(spec, args.max_degree)
         oracle = oracle_center_upto(spec, args.max_degree, algebra=algebra)
         same = all(

@@ -1,11 +1,13 @@
 """Finite generation of the center.
 
 With the orthogonal ideal admissible, the center is finitely generated iff
-every clique of loops in the relation graph that satisfies the centrality
-condition has each of its members satisfying it as a singleton.  Generators
-are then central arrows (commutative flavor) or central squares plus, where
-an odd-size block annihilates everything outside it, the square-free product
-of the block (anticommutative flavor).
+every clique of co-based loops, pairwise joined by relations, that satisfies
+the centrality condition has each of its members satisfying it as a
+singleton; :func:`pacqa.center.loop_clique_statuses` reads each clique's
+status off per-vertex bitmasks.  Generators are then central arrows
+(commutative flavor) or central squares plus, where an odd-size block
+annihilates everything outside it, the square-free product of the block
+(anticommutative flavor).
 """
 from __future__ import annotations
 
@@ -95,31 +97,31 @@ def _check_s_consistency(spec: IdealSpec,
                          statuses: tuple[CliqueStatus, ...],
                          s_sets: tuple[tuple[str, SCondition], ...]) -> None:
     """A loop is a central arrow (its square is central, anticommutative
-    flavor) iff it passes the singleton clique scan; the direct generator
-    scan must agree, otherwise one of the engines is wrong."""
+    flavor) iff its singleton clique status is central; the direct
+    generator scan must agree, otherwise one of the engines is wrong."""
     singleton_ok = {st.clique[0] for st in statuses
                     if len(st.clique) == 1 and st.central_ok}
     by_vertex = dict(s_sets)
     for vertex in spec.quiver.vertices:
         cond = by_vertex[vertex]
         direct = set(cond.arrows)
-        graph = {a for a in singleton_ok
-                 if spec.quiver.origin(a) == vertex}
+        scanned = {a for a in singleton_ok
+                   if spec.quiver.origin(a) == vertex}
         if cond.status == S_TRIVIAL:
-            if graph:
+            if scanned:
                 raise FalsificationError(
                     f"vertex {vertex}: block scan says trivial but the "
-                    f"relation graph finds central loops {sorted(graph)}")
+                    f"clique scan finds central loops {sorted(scanned)}")
             continue
-        if direct != graph:
+        if direct != scanned:
             raise FalsificationError(
                 f"vertex {vertex}: generator scan gives S={sorted(direct)} "
-                f"but the relation graph gives {sorted(graph)}")
+                f"but the clique scan gives {sorted(scanned)}")
 
 
 def center_finitely_generated(spec: IdealSpec) -> FinGenVerdict:
-    """Scan the loop cliques of the relation graph and decide finite
-    generation; see the module docstring for the criterion."""
+    """Scan the loop cliques' statuses and decide finite generation; see
+    the module docstring for the criterion."""
     require_hypotheses(spec)
     return loop_supported_verdict(spec)
 

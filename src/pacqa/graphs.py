@@ -78,28 +78,25 @@ def has_directed_cycle(g: MixedGraph) -> tuple[bool, tuple[str, ...] | None]:
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = {v: WHITE for v in g.vertices}
-    path: list[str] = []
-
-    def visit(v: str) -> tuple[str, ...] | None:
-        color[v] = GREY
-        path.append(v)
-        for w in adjacency[v]:
-            if color[w] == GREY:
-                return tuple(path[path.index(w):]) + (w,)
-            if color[w] == WHITE:
-                found = visit(w)
-                if found is not None:
-                    return found
-        color[v] = BLACK
-        path.pop()
-        return None
-
-    for v in g.vertices:
-        if color[v] == WHITE:
-            cycle = visit(v)
-            if cycle is not None:
-                return True, cycle
-            assert not path
+    for root in g.vertices:
+        if color[root] != WHITE:
+            continue
+        # an explicit stack, so long chains stay clear of the recursion
+        # limit: the grey path and, per member, its unvisited out-neighbours
+        color[root] = GREY
+        path, pending = [root], [iter(adjacency[root])]
+        while pending:
+            for w in pending[-1]:
+                if color[w] == GREY:
+                    return True, tuple(path[path.index(w):]) + (w,)
+                if color[w] == WHITE:
+                    color[w] = GREY
+                    path.append(w)
+                    pending.append(iter(adjacency[w]))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return False, None
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .center import center_is_trivial_at, require_loop_hypotheses
+from .center import DEFAULT_MAX_DEGREE, require_loop_hypotheses
 from .errors import FalsificationError, HypothesisError
 from .fingen import (FINITELY_GENERATED, INFINITELY_GENERATED, TRIVIAL,
                      FinGenVerdict, center_finitely_generated,
@@ -33,8 +33,6 @@ from .quiver import multi_vertex_cycles
 HH_FG = "finitely-generated"
 HH_INF = "infinitely-generated"
 HH_UNDECIDED = "undecided"
-
-DEFAULT_SWEEP_DEGREE = 8
 
 EVIDENCE_CHAIN = (
     "Hochschild cohomology mod nilpotents of a Koszul algebra is the graded "
@@ -158,7 +156,7 @@ def _dual_center_verdict(dual: IdealSpec, max_degree: int
 
 
 def hochschild_fg(pres: AlgebraPresentation,
-                  max_degree: int = DEFAULT_SWEEP_DEGREE) -> HochschildVerdict:
+                  max_degree: int = DEFAULT_MAX_DEGREE) -> HochschildVerdict:
     """Finite generation of HH* modulo nilpotents via the center of the
     dual.  An unknown Koszulity marker yields an undecided verdict that
     still carries the dual presentation for independent re-analysis."""
@@ -176,12 +174,6 @@ def hochschild_fg(pres: AlgebraPresentation,
         )
     verdict, notes = _dual_center_verdict(dual.ideal, max_degree)
     trivial = verdict.status == TRIVIAL
-    # cross-check against the per-vertex block scan
-    for vertex in dual.quiver.vertices:
-        local = center_is_trivial_at(dual.ideal, vertex)
-        if trivial and not local.trivial:
-            raise FalsificationError(
-                f"dual center trivial globally but nontrivial at {vertex}")
     status = HH_FG if verdict.status in (FINITELY_GENERATED, TRIVIAL) \
         else HH_INF
     generators = verdict.generators if verdict.status == FINITELY_GENERATED \

@@ -30,15 +30,21 @@ class _Ctx:
     """Per-spec lookup tables and the spec's normal forms of queried words
     (internal); one lives in each spec's memo, see :func:`context_for`."""
 
-    __slots__ = ("names", "index", "compose_ok", "indep", "mono_before",
+    __slots__ = ("names", "index", "after", "before", "indep", "mono_before",
                  "eps", "forms")
 
     def __init__(self, spec: IdealSpec):
         q = spec.quiver
         self.names = q.arrow_names
         self.index = {a: i for i, a in enumerate(self.names)}
-        self.compose_ok = [[q.composable(a, b) for b in self.names]
-                           for a in self.names]
+        leaving: dict[str, tuple[int, ...]] = dict.fromkeys(q.vertices, ())
+        entering = dict(leaving)
+        for i, a in enumerate(q.arrows):
+            leaving[a.origin] += (i,)
+            entering[a.target] += (i,)
+        # arrow -> the arrows that may follow it / precede it, ascending
+        self.after = [leaving[a.target] for a in q.arrows]
+        self.before = [entering[a.origin] for a in q.arrows]
         # arrow -> the arrows it may swap with
         self.indep = [tuple(self.index[b] for b in self.names
                             if spec.related(a, b)) for a in self.names]

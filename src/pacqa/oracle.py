@@ -44,36 +44,22 @@ class TruncatedAlgebra:
 
 def enumerate_paths(spec: IdealSpec, degree: int) -> list[tuple[int, ...]]:
     """All paths of the given degree as index words, lexicographically."""
-    ctx = context_for(spec)
-    n = len(ctx.names)
     if degree == 0:
         return []
-    words: list[tuple[int, ...]] = [(i,) for i in range(n)]
+    after = context_for(spec).after
+    words = [(i,) for i in range(len(after))]
     for _ in range(degree - 1):
-        nxt = []
-        for w in words:
-            last = w[-1]
-            for j in range(n):
-                if ctx.compose_ok[last][j]:
-                    nxt.append(w + (j,))
-        words = nxt
+        words = [w + (j,) for w in words for j in after[w[-1]]]
     return words
 
 
 def count_paths(spec: IdealSpec, degree: int) -> int:
     if degree == 0:
         return len(spec.quiver.vertices)
-    ctx = context_for(spec)
-    n = len(ctx.names)
-    counts = [1] * n
+    before = context_for(spec).before
+    counts = [1] * len(before)  # arrow -> number of paths ending in it
     for _ in range(degree - 1):
-        nxt = [0] * n
-        for i in range(n):
-            if counts[i]:
-                for j in range(n):
-                    if ctx.compose_ok[i][j]:
-                        nxt[j] += counts[i]
-        counts = nxt
+        counts = [sum(counts[i] for i in into) for into in before]
     return sum(counts)
 
 
@@ -89,25 +75,18 @@ def _generator_rows(spec: IdealSpec, degree: int, field):
     minus_eps = field.neg(field.of(ctx.eps))
     pairs = ([(ctx.index[a], ctx.index[b], False) for a, b in spec.monomials]
              + [(ctx.index[a], ctx.index[b], True) for a, b in spec.relations])
-
-    cache: dict[int, list] = {0: [()]}
-
-    def words_between(length: int):
-        if length not in cache:
-            cache[length] = enumerate_paths(spec, length)
-        return cache[length]
+    # length -> the paths of that length, with the empty word at 0
+    walks = [[()]] + [enumerate_paths(spec, k) for k in range(1, degree - 1)]
 
     rows = []
     units = set()  # columns whose unit row is already emitted
     for i in range(degree - 1):
-        lefts = words_between(i)
-        rights = words_between(degree - 2 - i)
         for u, v, is_rel in pairs:
-            for p in lefts:
-                if p and not ctx.compose_ok[p[-1]][u]:
+            for p in walks[i]:
+                if p and u not in ctx.after[p[-1]]:
                     continue
-                for q in rights:
-                    if q and not ctx.compose_ok[v][q[0]]:
+                for q in walks[degree - 2 - i]:
+                    if q and q[0] not in ctx.after[v]:
                         continue
                     c = col[p + (u, v) + q]
                     if is_rel:
@@ -158,21 +137,17 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
     recomputed by raw elimination and compared.
     """
     ctx = context_for(spec)
-    n = len(ctx.names)
     basis: list[tuple[Word, ...]] = [tuple(spec.quiver.vertices)]
     frontier: list[tuple[int, ...]] = []
     total = 0
     checked: list[int] = []
     for d in range(1, max_degree + 1):
         if d == 1:
-            canon = {(i,) for i in range(n)}
+            canon = {(i,) for i in range(len(ctx.names))}
         else:
             canon = set()
             for w in frontier:
-                last = w[-1]
-                for j in range(n):
-                    if not ctx.compose_ok[last][j]:
-                        continue
+                for j in ctx.after[w[-1]]:
                     cf = canonical_index_form(ctx, w + (j,))
                     if cf is not None:
                         canon.add(cf[1])
@@ -230,7 +205,6 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
     ctx = context_for(spec)
     field = field_for(spec.field_char)
     q = spec.quiver
-    n = len(ctx.names)
     by_degree: list[tuple[int, tuple[CenterElement, ...]]] = []
     # centers are monomial when square-free AND loop-supported; a surviving
     # multi-vertex cycle allows genuine sums over rotations
@@ -249,19 +223,18 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
             sparse_rows: dict[tuple[int, tuple[int, ...]], dict[int, int]]
             sparse_rows = defaultdict(dict)
             for w in block:
-                for a in range(n):
-                    if ctx.compose_ok[a][w[0]]:
-                        cf = canonical_index_form(ctx, (a,) + w)
-                        if cf is not None:
-                            sign, rep = cf
-                            row = sparse_rows[(a, rep)]
-                            row[col[w]] = row.get(col[w], 0) + sign
-                    if ctx.compose_ok[w[-1]][a]:
-                        cf = canonical_index_form(ctx, w + (a,))
-                        if cf is not None:
-                            sign, rep = cf
-                            row = sparse_rows[(a, rep)]
-                            row[col[w]] = row.get(col[w], 0) - sign
+                for a in ctx.before[w[0]]:
+                    cf = canonical_index_form(ctx, (a,) + w)
+                    if cf is not None:
+                        sign, rep = cf
+                        row = sparse_rows[(a, rep)]
+                        row[col[w]] = row.get(col[w], 0) + sign
+                for a in ctx.after[w[-1]]:
+                    cf = canonical_index_form(ctx, w + (a,))
+                    if cf is not None:
+                        sign, rep = cf
+                        row = sparse_rows[(a, rep)]
+                        row[col[w]] = row.get(col[w], 0) - sign
             matrix = []
             for _, sparse in sorted(sparse_rows.items()):
                 row = {j: field.of(v) for j, v in sparse.items()}
@@ -373,7 +346,7 @@ def oracle_fg_evidence(spec: IdealSpec, max_degree: int, *,
         for lc, lw in left_terms:
             for rc, rw in right_terms:
                 li, ri = ctx.encode(lw), ctx.encode(rw)
-                if not ctx.compose_ok[li[-1]][ri[0]]:
+                if ri[0] not in ctx.after[li[-1]]:
                     continue
                 cf = canonical_index_form(ctx, li + ri)
                 if cf is None:
@@ -402,16 +375,8 @@ def oracle_fg_evidence(spec: IdealSpec, max_degree: int, *,
                     prod = multiply(z, h)
                     if prod and product_span.add(to_vector(prod, d)):
                         product_elements.append(prod)
-        new = 0
-        for z in center_terms[d]:
-            if not product_span.contains(to_vector(z, d)):
-                new += 1
-                product_span.add(to_vector(z, d))
-        rows.append((d, len(center_terms[d]), new))
-        slice_span = SpanBasis(field)
-        slice_elements: list = []
-        for terms in product_elements + center_terms[d]:
-            if slice_span.add(to_vector(terms, d)):
-                slice_elements.append(terms)
-        subalgebra_slice[d] = slice_elements
+        new_elements = [z for z in center_terms[d]
+                        if product_span.add(to_vector(z, d))]
+        rows.append((d, len(center_terms[d]), len(new_elements)))
+        subalgebra_slice[d] = product_elements + new_elements
     return FgEvidence(max_degree, tuple(rows))

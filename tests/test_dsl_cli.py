@@ -146,6 +146,18 @@ class TestCli:
             assert code == 0, name
             assert "all engines agree" in out, name
 
+    def test_oracle_check_skips_center_on_surviving_cycle(self, tmp_path,
+                                                          capsys):
+        # square-free with an admissible orthogonal, but the free 2-cycle
+        # c*d survives, so theorem mode does not apply
+        spec = tmp_path / "two_cycle.quiver"
+        spec.write_text("vertices: x, y\narrows: c: x->y, d: y->x\n"
+                        "ideal commutative\n")
+        assert run(["oracle-check", str(spec)]) == 0
+        out = capsys.readouterr().out
+        assert "ok: center (skipped: outside theorem hypotheses)" in out
+        assert "all engines agree" in out
+
     def test_json_reports_are_byte_stable(self, capsys):
         args = ["center", "--json", "--max-degree", "4",
                 fixture_path("anti_two_loops_arrow")]

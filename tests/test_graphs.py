@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 from helpers import build, fixture_ideal
-from pacqa.graphs import (enumerate_cliques, generator_graph,
-                          has_directed_cycle, is_admissible, relation_graph,
-                          to_dot)
+from pacqa.graphs import (GENERATOR_KIND, MixedGraph, enumerate_cliques,
+                          generator_graph, has_directed_cycle, is_admissible,
+                          relation_graph, to_dot)
 from pacqa.ideal import COMMUTATIVE, orthogonal
 from pacqa.koszul import dual_ideal
 
@@ -70,6 +70,14 @@ class TestDirectedCycles:
         found, cycle = has_directed_cycle(generator_graph(spec))
         assert found and cycle == ("a", "a")
 
+    def test_witness_follows_sorted_adjacency(self):
+        # from a the search tries b before c, backs out of the dead end d
+        # and closes the cycle through e, whatever the edge listing order
+        g = MixedGraph(("a", "b", "c", "d", "e"),
+                       (("c", "a"), ("a", "c"), ("b", "e"), ("e", "a"),
+                        ("b", "d"), ("a", "b")), (), GENERATOR_KIND)
+        assert has_directed_cycle(g) == (True, ("a", "b", "e", "a"))
+
 
 class TestAdmissibility:
     def test_fixture_verdicts(self):
@@ -89,6 +97,26 @@ class TestAdmissibility:
     def test_nilpotency_bound(self):
         verdict = is_admissible(fixture_ideal("comm_two_loops_arrow"))
         assert verdict.nilpotency_bound == 4  # |arrows| + 1
+
+    def test_long_path_is_admissible(self):
+        # the orthogonal's generator graph is a 1,499-arrow chain, deeper
+        # than the interpreter's recursion limit
+        vertices = [f"v{i}" for i in range(1500)]
+        spec = build(vertices, [(f"a{i}", vertices[i], vertices[i + 1])
+                                for i in range(1499)])
+        verdict = is_admissible(spec)
+        assert verdict.admissible
+        assert verdict.nilpotency_bound == 1500
+
+    def test_long_free_cycle_witness(self):
+        vertices = [f"v{i}" for i in range(1500)]
+        spec = build(vertices, [(f"a{i}", vertices[i],
+                                 vertices[(i + 1) % 1500])
+                                for i in range(1500)])
+        verdict = is_admissible(spec)
+        assert not verdict.admissible
+        assert len(verdict.cycle) == 1501
+        assert verdict.cycle == tuple(f"a{i}" for i in range(1500)) + ("a0",)
 
 
 class TestCliques:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import build, fixture_doc, fixture_ideal
+from helpers import FIXTURES, build, fixture_doc, fixture_ideal
+from pacqa.center import center_is_trivial_at
 from pacqa.errors import HypothesisError
+from pacqa.graphs import is_admissible
 from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, KOSZUL_ASSERTED,
                          KOSZUL_AUTO, KOSZUL_UNKNOWN, AlgebraPresentation,
                          make_presentation)
@@ -111,3 +113,48 @@ class TestHochschild:
                      "anti_four_loops_full"):
             verdict = hochschild_fg(_mk(name))
             assert verdict.dual.ideal.quiver.vertices
+
+
+def _squares_killed_family(k: int, flavor: str, zero_pairs: str
+                           ) -> AlgebraPresentation:
+    """``k`` loops at one vertex with every square zero; each pair commutes,
+    or with ``zero_pairs`` "one" / "both" has ab (and ba) zero instead."""
+    names = [f"l{i}" for i in range(k)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    monomials = [(a, a) for a in names]
+    if zero_pairs == "none":
+        relations = pairs
+    else:
+        relations = []
+        monomials += pairs
+        if zero_pairs == "both":
+            monomials += [(b, a) for a, b in pairs]
+    spec = build(["x"], [(a, "x", "x") for a in names], flavor,
+                 monomials=sorted(monomials), relations=relations)
+    return make_presentation(spec, koszul_asserted=True)
+
+
+class TestDualTrivialityIsLocal:
+    """A trivial dual center is trivial at every vertex of the dual: both
+    sides read the dual's loop-clique statuses, and a trivial verdict means
+    none of them is central."""
+
+    def test_fixtures_and_squares_killed_families(self):
+        presentations = [
+            make_presentation(fixture_ideal(name), koszul_asserted=True)
+            for name in FIXTURES
+            if is_admissible(fixture_ideal(name)).admissible]
+        presentations += [
+            _squares_killed_family(k, flavor, zero_pairs)
+            for k in range(2, 6)
+            for flavor in (COMMUTATIVE, ANTICOMMUTATIVE)
+            for zero_pairs in ("none", "one", "both")]
+        outcomes = set()
+        for pres in presentations:
+            verdict = hochschild_fg(pres)
+            dual = verdict.dual.ideal
+            if verdict.trivial:
+                assert all(center_is_trivial_at(dual, v).trivial
+                           for v in dual.quiver.vertices), pres
+            outcomes.add(verdict.trivial)
+        assert outcomes == {True, False}

@@ -297,7 +297,7 @@ def random_index_word(rng: random.Random, ctx, degree: int):
     alphabet = rng.sample(range(n), rng.randint(1, n))
     word = [rng.choice(alphabet)]
     while len(word) < degree:
-        nxt = [j for j in range(n) if ctx.compose_ok[word[-1]][j]]
+        nxt = ctx.after[word[-1]]
         if not nxt:
             return None
         inside = [j for j in nxt if j in alphabet]

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 from helpers import (FIXTURES, build, fixture_ideal, fixture_path,
                      two_loop_polynomial)
 from pacqa.ideal import COMMUTATIVE
 from pacqa.koszul import dual_ideal
-from pacqa.oracle import (oracle_center_upto, oracle_fg_evidence,
-                          oracle_nilpotence_check, quotient_basis_upto)
+from pacqa.oracle import (count_paths, enumerate_paths, oracle_center_upto,
+                          oracle_fg_evidence, oracle_nilpotence_check,
+                          quotient_basis_upto)
 
 
 def degree_words(basis):
@@ -238,3 +242,34 @@ class TestGeneratorRows:
             assert dims == self.RAW_DIMENSIONS[name], name
             algebra = quotient_basis_upto(spec, 6, self_check=False)
             assert dims == list(algebra.dimensions[2:]), name
+
+
+class TestPathCounts:
+    def test_successor_walks_match_brute_force(self):
+        # random quivers on a few vertices plus an isolated one, so parallel
+        # arrows, loops, sources and sinks all occur across the batch
+        rng = random.Random(11)
+        inner = ["v0", "v1", "v2"]
+        seen = set()
+        for _ in range(30):
+            arrows = [(f"a{i}", rng.choice(inner), rng.choice(inner))
+                      for i in range(rng.randint(1, 6))]
+            ends = [(s, t) for _, s, t in arrows]
+            starts, stops = {s for s, _ in ends}, {t for _, t in ends}
+            if len(set(ends)) < len(ends):
+                seen.add("parallel")
+            if any(s == t for s, t in ends):
+                seen.add("loop")
+            if starts - stops:
+                seen.add("source")
+            if stops - starts:
+                seen.add("sink")
+            spec = build(inner + ["iso"], arrows)
+            for d in range(1, 6):
+                brute = [w for w in itertools.product(range(len(arrows)),
+                                                      repeat=d)
+                         if all(arrows[i][2] == arrows[j][1]
+                                for i, j in zip(w, w[1:]))]
+                assert enumerate_paths(spec, d) == brute, (arrows, d)
+                assert count_paths(spec, d) == len(brute), (arrows, d)
+        assert seen == {"parallel", "loop", "source", "sink"}
