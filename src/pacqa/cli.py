@@ -20,7 +20,7 @@ from .errors import (FalsificationError, HypothesisError, InputError,
                      PacqaError)
 from .fingen import center_finitely_generated
 from .graphs import generator_graph, is_admissible, relation_graph, to_dot
-from .ideal import IdealSpec, orthogonal
+from .ideal import IdealSpec, composable_pairs, orthogonal
 from .koszul import hochschild_fg, koszul_dual
 from .normalform import monomial_in_ideal
 from .oracle import (oracle_center_upto, oracle_fg_evidence,
@@ -71,8 +71,7 @@ def _center_payload(basis: CenterBasis) -> dict:
         "max_degree": basis.max_degree,
         "identity_components": basis.identity_components,
         "by_degree": {
-            str(d): [e.render() if not e.is_monomial else _word(e.word)
-                     for e in elements]
+            str(d): [e.render() for e in elements]
             for d, elements in basis.by_degree
         },
         "basepoints": {
@@ -86,6 +85,7 @@ def _center_payload(basis: CenterBasis) -> dict:
 
 def _report(doc: SpecDocument, command: str, result: dict,
             notices: list[str]) -> dict:
+    """The ``--json`` report; only it computes the hypothesis outcomes."""
     return {
         "tool": {"name": "pacqa", "version": __version__},
         "command": command,
@@ -95,20 +95,9 @@ def _report(doc: SpecDocument, command: str, result: dict,
             k: v for k, v in hypothesis_report(doc.ideal).items()
             if isinstance(v, bool)
         },
-        "notices": sorted(set(notices)),
+        "notices": notices,
         "result": result,
     }
-
-
-def _emit(report: dict, lines: list[str], as_json: bool) -> None:
-    if as_json:
-        sys.stdout.write(
-            json.dumps(report, sort_keys=True, indent=2) + "\n")
-    else:
-        for notice in report["notices"]:
-            sys.stdout.write(f"note: {notice}\n")
-        for line in lines:
-            sys.stdout.write(line + "\n")
 
 
 def _cmd_validate(doc: SpecDocument, args) -> _Outcome:
@@ -177,10 +166,8 @@ def _cmd_center(doc: SpecDocument, args) -> _Outcome:
              f"degree 0: identity ({basis.identity_components} "
              "component(s))"]
     for d, elements in basis.by_degree:
-        rendered = ", ".join(
-            _word(e.word) if e.is_monomial else e.render()
-            for e in elements)
-        lines.append(f"degree {d}: {rendered}")
+        lines.append(
+            f"degree {d}: {', '.join(e.render() for e in elements)}")
     if not basis.by_degree:
         lines.append(f"no central elements in degrees 1..{args.max_degree}")
     for note in basis.notes:
@@ -311,7 +298,6 @@ def _cmd_oracle_check(doc: SpecDocument, args) -> _Outcome:
     checks.append(("orthogonal-involution", involution_ok,
                    "orthogonal(orthogonal(I)) == I"))
 
-    from .ideal import composable_pairs
     tri_ok = True
     for a, b in composable_pairs(spec.quiver):
         exactly = sum([
@@ -453,12 +439,18 @@ def run(argv: list[str]) -> int:
     try:
         doc = parse_spec(text)
         result, lines, notices = _DISPATCH[args.command](doc, args)
-        report = _report(doc, args.command, result,
-                         list(doc.notices) + notices)
-        if args.command == "dot" and not args.json:
+        notices = sorted(set(doc.notices) | set(notices))
+        if args.json:
+            report = _report(doc, args.command, result, notices)
+            sys.stdout.write(
+                json.dumps(report, sort_keys=True, indent=2) + "\n")
+        elif args.command == "dot":
             sys.stdout.write(result["dot"])
         else:
-            _emit(report, lines, args.json)
+            for notice in notices:
+                sys.stdout.write(f"note: {notice}\n")
+            for line in lines:
+                sys.stdout.write(line + "\n")
         return 0
     except FalsificationError as exc:
         sys.stderr.write(f"falsification: {exc}\n")

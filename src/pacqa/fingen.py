@@ -7,15 +7,16 @@ singleton; :func:`pacqa.center.loop_clique_statuses` reads each clique's
 status off per-vertex bitmasks.  Generators are then central arrows
 (commutative flavor) or central squares plus, where an odd-size block
 annihilates everything outside it, the square-free product of the block
-(anticommutative flavor).
+(anticommutative flavor).  The per-vertex facts, a trivial local center and
+the necessary-condition set S, are read off the same statuses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .center import (CliqueStatus, center_is_trivial_at, loop_clique_statuses,
-                     require_hypotheses, require_loop_hypotheses)
-from .errors import FalsificationError, HypothesisError
+from .center import (CliqueStatus, loop_clique_statuses, require_hypotheses,
+                     require_loop_hypotheses)
+from .errors import HypothesisError, IdealError
 from .ideal import ANTICOMMUTATIVE, IdealSpec
 
 Word = tuple[str, ...]
@@ -69,54 +70,46 @@ class FinGenVerdict:
 
 
 def necessary_condition_s(spec: IdealSpec, vertex: str) -> SCondition:
-    """Compute the necessary-condition set at one vertex directly from the
-    generator lists (independently of the clique-mask scan)."""
+    """The necessary-condition set at one vertex, read off the loop-clique
+    statuses as :func:`loop_supported_verdict` reads it."""
     require_loop_hypotheses(spec)
-    triviality = center_is_trivial_at(spec, vertex)
-    if triviality.trivial:
-        return SCondition(S_TRIVIAL, ())
-    q = spec.quiver
-    loops = q.loops_at(vertex)
-    incoming = [c for c in q.incidence[vertex] if q.origin(c) != vertex]
-    outgoing = [d for d in q.incidence[vertex] if q.target(d) != vertex]
-    chosen = []
-    for a in loops:
-        if not all(spec.related(a, b) for b in loops if b != a):
-            continue
-        if not all((c, a) in spec.monomial_set for c in incoming):
-            continue
-        if not all((a, d) in spec.monomial_set for d in outgoing):
-            continue
-        chosen.append(a)
-    if chosen:
-        return SCondition(S_SET, tuple(chosen))
-    return SCondition(S_FAIL, ())
+    if vertex not in spec.quiver.vertices:
+        raise IdealError(f"unknown vertex {vertex!r}")
+    return dict(_s_sets(spec, loop_clique_statuses(spec)))[vertex]
 
 
-def _check_s_consistency(spec: IdealSpec,
-                         statuses: tuple[CliqueStatus, ...],
-                         s_sets: tuple[tuple[str, SCondition], ...]) -> None:
-    """A loop is a central arrow (its square is central, anticommutative
-    flavor) iff its singleton clique status is central; the direct
-    generator scan must agree, otherwise one of the engines is wrong."""
-    singleton_ok = {st.clique[0] for st in statuses
-                    if len(st.clique) == 1 and st.central_ok}
-    by_vertex = dict(s_sets)
-    for vertex in spec.quiver.vertices:
-        cond = by_vertex[vertex]
-        direct = set(cond.arrows)
-        scanned = {a for a in singleton_ok
-                   if spec.quiver.origin(a) == vertex}
-        if cond.status == S_TRIVIAL:
-            if scanned:
-                raise FalsificationError(
-                    f"vertex {vertex}: block scan says trivial but the "
-                    f"clique scan finds central loops {sorted(scanned)}")
-            continue
-        if direct != scanned:
-            raise FalsificationError(
-                f"vertex {vertex}: generator scan gives S={sorted(direct)} "
-                f"but the clique scan gives {sorted(scanned)}")
+def _s_sets(spec: IdealSpec, statuses: tuple[CliqueStatus, ...]
+            ) -> tuple[tuple[str, SCondition], ...]:
+    """The necessary condition at every vertex: ``trivial`` when no clique
+    based there is central, else S is the loops whose singleton clique is
+    central (in arrow order, as the statuses are sorted), ``fail`` if none.
+
+    Under the loop hypotheses this is the set the generator lists give
+    directly.  The singleton {a} is central iff every other arrow at its
+    vertex is related to a or annihilated by a in both directions.  An
+    incoming non-loop c has a*c = 0 by endpoints, so it needs c*a to be a
+    generator; an outgoing non-loop d symmetrically needs a*d.  Another loop
+    b needs to be related to a, or both a*b and b*a to be generators; the
+    latter is a 2-cycle in the ideal's generator graph, which is the
+    generator graph of orthogonal(orthogonal(I)), and an admissible
+    orthogonal ideal excludes it.
+    """
+    central: dict[str, list[str]] = {}
+    for st in statuses:
+        if st.central_ok:
+            loops = central.setdefault(st.basepoint, [])
+            if len(st.clique) == 1:
+                loops.append(st.clique[0])
+    out = []
+    for v in spec.quiver.vertices:
+        if v not in central:
+            cond = SCondition(S_TRIVIAL, ())
+        elif central[v]:
+            cond = SCondition(S_SET, tuple(central[v]))
+        else:
+            cond = SCondition(S_FAIL, ())
+        out.append((v, cond))
+    return tuple(out)
 
 
 def center_finitely_generated(spec: IdealSpec) -> FinGenVerdict:
@@ -137,28 +130,15 @@ def loop_supported_verdict(spec: IdealSpec) -> FinGenVerdict:
     require_loop_hypotheses(spec)
     statuses = loop_clique_statuses(spec)
     fulfilling = tuple(st for st in statuses if st.central_ok)
-    s_sets = tuple((v, necessary_condition_s(spec, v))
-                   for v in spec.quiver.vertices)
-    _check_s_consistency(spec, statuses, s_sets)
+    s_sets = _s_sets(spec, statuses)
     if not fulfilling:
         return FinGenVerdict(TRIVIAL, (), None, s_sets, ())
-    witness = None
     singles = {st.clique[0]: st for st in statuses if len(st.clique) == 1}
-    for st in fulfilling:
-        if len(st.clique) == 1:
-            continue
-        for member in st.clique:
-            single = singles[member]
-            if not single.central_ok:
-                witness = InfiniteWitness(
-                    clique=st.clique,
-                    failing_member=member,
-                    blocking_vertex=single.blocker,
-                    missing_edge=single.blocker_missing,
-                )
-                break
-        if witness:
-            break
+    witness = next((InfiniteWitness(st.clique, member,
+                                    singles[member].blocker,
+                                    singles[member].blocker_missing)
+                    for st in fulfilling for member in st.clique
+                    if not singles[member].central_ok), None)
     clique_names = tuple(st.clique for st in fulfilling)
     if witness is not None:
         return FinGenVerdict(INFINITELY_GENERATED, (), witness, s_sets,

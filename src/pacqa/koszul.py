@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .center import DEFAULT_MAX_DEGREE, require_loop_hypotheses
+from .center import DEFAULT_MAX_DEGREE, surviving_multi_vertex_cycle
 from .errors import FalsificationError, HypothesisError
 from .fingen import (FINITELY_GENERATED, INFINITELY_GENERATED, TRIVIAL,
                      FinGenVerdict, center_finitely_generated,
@@ -120,10 +120,8 @@ def _dual_center_verdict(dual: IdealSpec, max_degree: int
     """Finite-generation verdict for the dual's center, handling quivers
     with multi-vertex cycles by the hybrid described in the module
     docstring."""
-    try:
+    if surviving_multi_vertex_cycle(dual) is None:
         return center_finitely_generated(dual), []
-    except HypothesisError:
-        require_loop_hypotheses(dual)  # genuine violations re-raise here
     notes: list[str] = []
     verdict = loop_supported_verdict(dual)
     wrap_alive = _wrap_alive_cycle(dual)

@@ -313,19 +313,15 @@ class FgEvidence:
         return tuple(d for d, _, new in self.rows if new > 0)
 
 
-def oracle_fg_evidence(spec: IdealSpec, max_degree: int, *,
-                       algebra: TruncatedAlgebra | None = None,
-                       center: CenterBasis | None = None) -> FgEvidence:
+def oracle_fg_evidence(spec: IdealSpec, max_degree: int) -> FgEvidence:
     """Degreewise saturation: at each degree, how much of the center lies
     outside the span of products of lower-degree central elements.
 
     An infinitely generated center keeps producing new generators; a center
     generated in low degree saturates immediately.
     """
-    if algebra is None:
-        algebra = quotient_basis_upto(spec, max_degree + 1)
-    if center is None:
-        center = oracle_center_upto(spec, max_degree, algebra=algebra)
+    algebra = quotient_basis_upto(spec, max_degree + 1)
+    center = oracle_center_upto(spec, max_degree, algebra=algebra)
     ctx = context_for(spec)
     field = field_for(spec.field_char)
 

@@ -3,16 +3,20 @@ scan the engine used before it read statuses off per-vertex bitmasks.
 
 It builds the relation graph of the whole quiver, enumerates the cliques of
 its loops and walks every arrow of the quiver against every member of each
-clique.  Kept only so the differential tests can compare the engine
-against it; nothing in the package imports it.
+clique.  It also keeps the direct generator-list scan for the necessary
+condition S of :mod:`pacqa.fingen`, which the engine now reads off the
+clique statuses.  Kept only so the differential tests can compare the
+engine against it; nothing in the package imports it.
 """
 from __future__ import annotations
 
 from collections import Counter
 from typing import Sequence
 
-from pacqa.center import Centrality, CliqueStatus, require_hypotheses
+from pacqa.center import (Centrality, CliqueStatus, center_is_trivial_at,
+                          require_hypotheses, require_loop_hypotheses)
 from pacqa.errors import IdealError
+from pacqa.fingen import S_FAIL, S_SET, S_TRIVIAL, SCondition
 from pacqa.graphs import MixedGraph, enumerate_cliques, relation_graph
 from pacqa.ideal import COMMUTATIVE, IdealSpec
 from pacqa.normalform import canonical_form
@@ -124,3 +128,28 @@ def is_central_monomial(spec: IdealSpec, word: Sequence[str]) -> Centrality:
     return Centrality(
         False, f"odd degree requires every outside arrow annihilated both "
                f"ways, but {who} is not")
+
+
+def necessary_condition_s(spec: IdealSpec, vertex: str) -> SCondition:
+    """Compute the necessary-condition set at one vertex directly from the
+    generator lists (independently of the clique-mask scan)."""
+    require_loop_hypotheses(spec)
+    triviality = center_is_trivial_at(spec, vertex)
+    if triviality.trivial:
+        return SCondition(S_TRIVIAL, ())
+    q = spec.quiver
+    loops = q.loops_at(vertex)
+    incoming = [c for c in q.incidence[vertex] if q.origin(c) != vertex]
+    outgoing = [d for d in q.incidence[vertex] if q.target(d) != vertex]
+    chosen = []
+    for a in loops:
+        if not all(spec.related(a, b) for b in loops if b != a):
+            continue
+        if not all((c, a) in spec.monomial_set for c in incoming):
+            continue
+        if not all((a, d) in spec.monomial_set for d in outgoing):
+            continue
+        chosen.append(a)
+    if chosen:
+        return SCondition(S_SET, tuple(chosen))
+    return SCondition(S_FAIL, ())

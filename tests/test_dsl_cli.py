@@ -158,6 +158,23 @@ class TestCli:
         assert "ok: center (skipped: outside theorem hypotheses)" in out
         assert "all engines agree" in out
 
+    def test_text_mode_on_path_past_recursion_limit(self, tmp_path, capsys):
+        # text output prints no hypothesis outcomes, so it computes none;
+        # the surviving-cycle search among them recurses once per vertex
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        spec = tmp_path / "path.quiver"
+        spec.write_text(
+            "vertices: " + ", ".join(f"v{i}" for i in range(n)) + "\n"
+            "arrows: " + ", ".join(f"a{i}: v{i}->v{i + 1}"
+                                   for i in range(n - 1)) + "\n"
+            "ideal commutative\n")
+        assert run(["validate", str(spec)]) == 0
+        assert capsys.readouterr().out.endswith("\nvalid\n")
+        assert run(["admissible", str(spec)]) == 0
+        assert capsys.readouterr().out == (
+            f"ADMISSIBLE, nilpotency bound: {n}\n")
+
     def test_json_reports_are_byte_stable(self, capsys):
         args = ["center", "--json", "--max-degree", "4",
                 fixture_path("anti_two_loops_arrow")]

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
-from helpers import build, fixture_ideal, two_loop_polynomial
-from pacqa.errors import HypothesisError
+import clique_reference as reference
+from helpers import (FIXTURES, build, fixture_ideal, random_instance,
+                     two_loop_polynomial)
+from pacqa.errors import HypothesisError, PacqaError
 from pacqa.fingen import (FINITELY_GENERATED, INFINITELY_GENERATED, TRIVIAL,
-                          center_finitely_generated, degree_generators,
+                          SCondition, center_finitely_generated,
+                          degree_generators, loop_supported_verdict,
                           necessary_condition_s)
-from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
+from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE, validate_ideal
 from pacqa.koszul import dual_ideal
+from pacqa.quiver import build_quiver
 
 OP = "°"
 
@@ -92,6 +99,77 @@ class TestNecessaryConditionS:
                 assert cond.status in ("S", "trivial")
                 if cond.status == "S":
                     assert cond.arrows
+
+
+def _s_outcome(fn, spec, vertex):
+    try:
+        return fn(spec, vertex)
+    except PacqaError as exc:
+        return type(exc), str(exc)
+
+
+def _s_family(rng: random.Random, k: int, flavor: str):
+    """``k`` loops at ``x`` with an arrow ``e`` out of ``x`` and an arrow
+    ``g`` into it, declared in seeded order; each loop pair is related,
+    killed one way or free, and seeded loops annihilate ``e`` and ``g``."""
+    names = [f"l{i}" for i in range(k)]
+    arrows = [(a, "x", "x") for a in names]
+    arrows += [("e", "x", "y"), ("g", "z", "x")]
+    rng.shuffle(arrows)
+    quiver = build_quiver(["x", "y", "z"], arrows)
+    monomials, relations = set(), set()
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            kind = rng.random()
+            if kind < 0.8:
+                relations.add((a, b))
+            elif kind < 0.95:
+                monomials.add((a, b) if rng.random() < 0.5 else (b, a))
+        if rng.random() < 0.5:
+            monomials.add((a, "e"))
+        if rng.random() < 0.5:
+            monomials.add(("g", a))
+    return validate_ideal(quiver, flavor, sorted(monomials),
+                          sorted(relations))
+
+
+class TestSConditionAgainstReference:
+    """S read off the clique statuses against the direct generator-list
+    scan it replaced (``tests/clique_reference.py``): the same condition,
+    or the same error, at every vertex and at an unknown one."""
+
+    def _compare(self, specs) -> Counter:
+        seen = Counter()
+        for spec in specs:
+            try:
+                s_sets = dict(loop_supported_verdict(spec).s_sets)
+            except HypothesisError:
+                s_sets = {}
+            for vertex in (*spec.quiver.vertices, "nowhere"):
+                got = _s_outcome(necessary_condition_s, spec, vertex)
+                assert got == _s_outcome(reference.necessary_condition_s,
+                                         spec, vertex), (
+                    spec.generator_strings(), vertex)
+                if isinstance(got, SCondition):
+                    assert s_sets[vertex] == got
+                    seen[got.status] += 1
+        return seen
+
+    def test_fixtures(self):
+        seen = self._compare(fixture_ideal(name) for name in FIXTURES)
+        assert seen["S"] and seen["trivial"]
+
+    def test_random_instances(self):
+        seen = self._compare(random_instance(random.Random(seed))
+                             for seed in range(2_000))
+        assert seen["S"] >= 50 and seen["fail"] and seen["trivial"] >= 50
+
+    @pytest.mark.parametrize("flavor", [COMMUTATIVE, ANTICOMMUTATIVE])
+    def test_loop_families(self, flavor):
+        rng = random.Random(17)
+        seen = self._compare(_s_family(rng, k, flavor)
+                             for k in range(1, 7) for _ in range(120))
+        assert min(seen[s] for s in ("S", "fail", "trivial")) >= 50, seen
 
 
 class TestDegreeGenerators:
