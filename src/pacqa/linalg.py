@@ -96,7 +96,9 @@ class SpanBasis:
     def _reduce(self, vec: _Vector) -> dict:
         """The nonzero entries of ``vec`` minus its part in the span."""
         field = self.field
-        items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+        # plain dicts, the common case, skip the slower abc instance check
+        items = (vec.items() if type(vec) is dict or isinstance(vec, Mapping)
+                 else enumerate(vec))
         out = {c: x for c, x in items if not field.is_zero(x)}
         # a stored row is zero at every other pivot, so one pass suffices
         for pc in [c for c in out if c in self.rows]:

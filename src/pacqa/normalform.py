@@ -9,7 +9,9 @@ zero iff some cover pair ``i < j`` of that order spells a monomial generator
 lexicographic normal form, built by taking the smallest letter among the
 minimal unplaced occurrences; its sign is ``eps`` to the number of
 inversions, well defined because equal arrows keep their order.  No class is
-enumerated; each spec's memo keeps one normal form per queried word.
+enumerated; each spec's memo keeps one normal form per queried word.  The
+oracle's frontier extends canonical words by one letter with the append rule
+of :func:`_extend` instead, and writes its results into the same memo.
 """
 from __future__ import annotations
 
@@ -110,6 +112,67 @@ def _trace(ctx: _Ctx, word: tuple[int, ...]
         inversions += (left & (bit - 1)).bit_count()
         canonical.append(x)
     return zero, ctx.eps ** (inversions & 1), tuple(canonical)
+
+
+# Canonical words with their trace state ``(below, at)``: ``below[i]`` is the
+# bitmask of the positions under position ``i`` in the dependence order, and
+# ``at[x]`` the bitmask of the positions of arrow ``x``.
+Frontier = dict[tuple[int, ...], tuple[list[int], list[int]]]
+
+
+def _frontier_start(ctx: _Ctx) -> Frontier:
+    """The degree-1 words, each with its trace state."""
+    n = len(ctx.names)
+    return {(y,): ([0], [int(x == y) for x in range(n)]) for y in range(n)}
+
+
+def _extend(ctx: _Ctx, frontier: Frontier) -> Frontier:
+    """The canonical words one letter longer than the surviving canonical
+    words of ``frontier``, each with its trace state, by the append rule.
+
+    Appending ``y`` to ``w`` adds one maximal occurrence whose predecessors
+    are the positions of letters not related to ``y``.  Its covers are the
+    predecessors minus everything below them, and ``w*y`` is zero iff a
+    cover's letter ``x`` makes ``x*y`` a monomial generator (``w`` itself
+    survives).  Otherwise every letter past the last predecessor commutes
+    with ``y``, and the lexicographic normal form puts ``y`` before the
+    first of them greater than ``y``, at ``t`` (or at the end, ``n``), after
+    ``n - t`` transpositions.  The new state inserts a bit at ``t`` into
+    every mask.  This is O(|w| + #arrows) per extension instead of a full
+    :func:`_trace`.  Each result enters the form memo under ``w + (y,)``.
+    """
+    indep, mono_before, forms = ctx.indep, ctx.mono_before, ctx.forms
+    grown: Frontier = {}
+    for word, (below, at) in frontier.items():
+        n = len(word)
+        for y in ctx.after[word[-1]]:
+            free = 0
+            for x in indep[y]:
+                free |= at[x]
+            preds = ((1 << n) - 1) & ~free
+            p, under, mono = preds, 0, mono_before[y]
+            while p:  # the covers of the new occurrence, right to left
+                i = p.bit_length() - 1
+                if mono >> word[i] & 1:
+                    break
+                under |= below[i] | (1 << i)
+                p &= ~under
+            if p:
+                forms[word + (y,)] = None
+                continue
+            t = preds.bit_length()
+            while t < n and word[t] < y:
+                t += 1
+            canonical = word[:t] + (y,) + word[t:]
+            forms[word + (y,)] = (ctx.eps ** ((n - t) & 1), canonical)
+            if canonical not in grown:
+                low = (1 << t) - 1
+                moved = [m & low | (m & ~low) << 1 for m in at]
+                moved[y] |= 1 << t
+                grown[canonical] = (
+                    below[:t] + [under]
+                    + [m & low | (m & ~low) << 1 for m in below[t:]], moved)
+    return grown
 
 
 def _form(ctx: _Ctx, word: tuple[int, ...]) -> IndexForm:

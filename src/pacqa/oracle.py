@@ -1,11 +1,18 @@
 """Ground-truth engine: exact linear algebra over the truncated quotient.
 
 Independent of the clique machinery, this module computes quotient bases
-degree by degree (with a raw Gaussian-elimination self-check over the full
-path list), solves the centralizer equations ``a z = z a`` exactly to get
-the center, verifies non-nilpotence of central monomials, and produces
+degree by degree, solves the centralizer equations ``a z = z a`` exactly to
+get the center, verifies non-nilpotence of central monomials, and produces
 degreewise finite-generation evidence by saturating products of
 lower-degree central elements.
+
+The basis frontier extends each canonical word by one arrow with the
+normal-form append rule, O(degree + arrows) per extension instead of a full
+normal form; the results stay in the spec's form memo, where the center's
+right products and the nilpotence powers read them.
+The self-check recomputes each small degree by raw Gaussian elimination over
+the full path list: the span of every ``p * generator * q``, single-entry
+rows first, then the binomials, in generic sparse elimination.
 """
 from __future__ import annotations
 
@@ -16,7 +23,8 @@ from .center import CenterBasis, CenterElement, surviving_multi_vertex_cycle
 from .errors import BudgetError, FalsificationError
 from .ideal import IdealSpec, _per_ideal, is_square_free
 from .linalg import SpanBasis, field_for, nullspace
-from .normalform import canonical_index_form, context_for
+from .normalform import (_extend, _frontier_start, canonical_index_form,
+                         context_for)
 
 Word = tuple[str, ...]
 
@@ -53,14 +61,26 @@ def enumerate_paths(spec: IdealSpec, degree: int) -> list[tuple[int, ...]]:
     return words
 
 
+@_per_ideal
+def _path_counts(spec: IdealSpec) -> dict[int, int]:
+    """Degree -> number of paths, filled in by :func:`count_paths`."""
+    return {}
+
+
 def count_paths(spec: IdealSpec, degree: int) -> int:
-    if degree == 0:
-        return len(spec.quiver.vertices)
-    before = context_for(spec).before
-    counts = [1] * len(before)  # arrow -> number of paths ending in it
-    for _ in range(degree - 1):
-        counts = [sum(counts[i] for i in into) for into in before]
-    return sum(counts)
+    """The number of paths of the given degree, computed once per spec and
+    degree."""
+    counts = _path_counts(spec)
+    if degree not in counts:
+        if degree == 0:
+            counts[degree] = len(spec.quiver.vertices)
+        else:
+            before = context_for(spec).before
+            ending = [1] * len(before)  # arrow -> paths ending in it
+            for _ in range(degree - 1):
+                ending = [sum(ending[i] for i in into) for into in before]
+            counts[degree] = sum(ending)
+    return counts[degree]
 
 
 def _generator_rows(spec: IdealSpec, degree: int, field):
@@ -106,14 +126,17 @@ def _raw_spans(spec: IdealSpec) -> dict[int, tuple[dict, SpanBasis]]:
 
 def _raw_span(spec: IdealSpec, degree: int) -> tuple[dict, SpanBasis]:
     """The raw span of one degree slice, built once per spec and degree.
-    A span enters the memo only when complete, so a reader in another
-    thread never sees a partial one (two threads may both build it)."""
+    The single-entry rows go in before the binomial rows, so each binomial
+    meets its zero columns already eliminated; the RREF is unique, so the
+    order changes no row.  A span enters the memo only when complete, so a
+    reader in another thread never sees a partial one (two threads may both
+    build it)."""
     spans = _raw_spans(spec)
     if degree not in spans:
         field = field_for(spec.field_char)
         col, rows = _generator_rows(spec, degree, field)
         span = SpanBasis(field)
-        for row in rows:
+        for row in sorted(rows, key=len):  # stable: units first
             span.add(row)
         spans[degree] = (col, span)
     return spans[degree]
@@ -132,45 +155,41 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
     """Canonical bases of degrees 0..max_degree.
 
     The frontier route extends surviving canonical words arrow by arrow; a
-    prefix of a surviving word survives, so this reaches every class.  When
-    the raw path count at a degree is small enough the dimension is
-    recomputed by raw elimination and compared.
+    prefix of a surviving word survives, so this reaches every class.  Each
+    word carries its trace state and grows by the append rule
+    (:func:`normalform._extend`), which also fills the form memo that the
+    center's right products read.  When the raw path count at a degree is
+    small enough the dimension is recomputed by raw elimination and
+    compared.
     """
     ctx = context_for(spec)
     basis: list[tuple[Word, ...]] = [tuple(spec.quiver.vertices)]
-    frontier: list[tuple[int, ...]] = []
+    frontier = _frontier_start(ctx)
     total = 0
     checked: list[int] = []
     for d in range(1, max_degree + 1):
-        if d == 1:
-            canon = {(i,) for i in range(len(ctx.names))}
-        else:
-            canon = set()
-            for w in frontier:
-                for j in ctx.after[w[-1]]:
-                    cf = canonical_index_form(ctx, w + (j,))
-                    if cf is not None:
-                        canon.add(cf[1])
-        frontier = sorted(canon)
-        total += len(frontier)
+        if d > 1:
+            frontier = _extend(ctx, frontier)
+        words = sorted(frontier)
+        total += len(words)
         if total > budget:
             raise BudgetError(
                 f"quotient basis exceeds the budget of {budget} words at "
                 f"degree {d}")
         if self_check and count_paths(spec, d) <= SELF_CHECK_PATH_CAP:
             raw = _raw_dimension(spec, d)
-            if raw != len(frontier):
+            if raw != len(words):
                 raise FalsificationError(
-                    f"degree {d}: class-based dimension {len(frontier)} "
+                    f"degree {d}: class-based dimension {len(words)} "
                     f"disagrees with raw elimination {raw}")
             checked.append(d)
-        basis.append(tuple(ctx.decode(w) for w in frontier))
+        basis.append(tuple(ctx.decode(w) for w in words))
     return TruncatedAlgebra(spec, max_degree, tuple(basis), tuple(checked))
 
 
 def raw_monomial_in_ideal(spec: IdealSpec, word: Word) -> bool:
-    """Ideal membership by raw span reduction, independent of the class
-    BFS; only for degrees where the full path list is affordable."""
+    """Ideal membership by raw span reduction, independent of the normal
+    forms; only for degrees where the full path list is affordable."""
     degree = len(word)
     if degree < 2:
         return False

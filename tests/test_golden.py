@@ -33,6 +33,10 @@ VARIANTS = (
 
 # "<fixture> <command and flags>" -> (exit code, sha256 of stdout)
 GOLDEN = {
+    "anti_four_loops_free_pair oracle-check --max-degree 12":
+        (0, "c1c12efe82b99034fe340501012b5d9a30da76b35575c0ac9aa06e7be1fbb97c"),
+    "anti_four_loops_free_pair oracle-check --max-degree 12 --json":
+        (0, "e51504c671c8db5eea9d7488c61e8d09d136f77f77ef8f5d8d3053051f660a1e"),
     "anti_four_loops_free_pair admissible":
         (0, "e06d8b31b6bd7fe4c46c3dd09f78c157b4f3c89796d56ef9def7be68ff2b80a6"),
     "anti_four_loops_free_pair admissible --json":
@@ -233,6 +237,10 @@ GOLDEN = {
         (0, "0e32d5cd74313d15887103b322966f4dd83ece0876617b00345d3d0e92528fec"),
     "comm_four_loops_arrow_out oracle-check --max-degree 6 --json":
         (0, "7259bcbf722f25d9ab7a4471e630653c73d37c208e7dda74e025c97e1a9e58ae"),
+    "comm_four_loops_arrow_out oracle-check --max-degree 12":
+        (0, "0b83eda9531ed57dcaa6dfee906ab4c5b189c67ddd7ecc1e51c2f40f260b6cfe"),
+    "comm_four_loops_arrow_out oracle-check --max-degree 12 --json":
+        (0, "0b32aea753c14b2108ad9968904819ff2c0e57278f9c8515da24753009e9c096"),
     "comm_four_loops_arrow_out orthogonal":
         (0, "c8fb0015b078d706fa430c07f06c32108fa784a208d7f4f11df672579491b3c9"),
     "comm_four_loops_arrow_out orthogonal --json":
@@ -348,9 +356,29 @@ GOLDEN = {
 }
 
 
+# Deeper oracle runs on two fixtures whose quotient stays nonzero in every
+# degree: the frontier reaches degree 13 on both, and on the first the
+# center's right products and the nilpotence powers reach degree 12 (the
+# second lies outside the theorem hypotheses, so its center is skipped).
+DEEP_VARIANTS = (
+    ("comm_four_loops_arrow_out", ("oracle-check", "--max-degree", "12")),
+    ("anti_four_loops_free_pair", ("oracle-check", "--max-degree", "12")),
+)
+
+
 @pytest.mark.parametrize("variant", VARIANTS, ids=" ".join)
 @pytest.mark.parametrize("name", FIXTURES)
 def test_stdout_matches_golden_digest(name, variant, capsys):
+    _check_golden(name, variant, capsys)
+
+
+@pytest.mark.parametrize("name,variant", DEEP_VARIANTS,
+                         ids=[" ".join((n, *v)) for n, v in DEEP_VARIANTS])
+def test_deep_oracle_matches_golden_digest(name, variant, capsys):
+    _check_golden(name, variant, capsys)
+
+
+def _check_golden(name, variant, capsys):
     for json_flag in ((), ("--json",)):
         code = run([variant[0], fixture_path(name), "--max-degree", "4",
                     *variant[1:], *json_flag])

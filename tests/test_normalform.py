@@ -12,9 +12,10 @@ from helpers import (FIXTURES, build, fixture_ideal, random_instance,
                      random_surviving_word)
 from pacqa.errors import BudgetError, IdealError
 from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
-from pacqa.normalform import (CLASS_MEMBER_CAP, canonical_form,
-                              canonical_index_form, context_for,
-                              equivalence_class, monomial_in_ideal)
+from pacqa.normalform import (CLASS_MEMBER_CAP, _extend, _frontier_start,
+                              _trace, canonical_form, canonical_index_form,
+                              context_for, equivalence_class,
+                              monomial_in_ideal)
 from pacqa.oracle import (SELF_CHECK_PATH_CAP, count_paths,
                           quotient_basis_upto, raw_monomial_in_ideal)
 
@@ -221,10 +222,10 @@ class TestSquareReduction:
         assert checked >= 1
 
 
-# Differential sizes: every degree 2..5 slice of up to this many paths.
+# Differential sizes: every degree 2..6 slice of up to this many paths.
 # The raw route's own cap (SELF_CHECK_PATH_CAP) is lower; these tests read
 # the shared span directly.
-DIFFERENTIAL_PATH_CAP = 1_300
+DIFFERENTIAL_PATH_CAP = 4_096
 
 
 def _differential_cases(seed: int, instances: int):
@@ -234,7 +235,7 @@ def _differential_cases(seed: int, instances: int):
     specs = [fixture_ideal(name) for name in FIXTURES]
     specs += [random_instance(rng) for _ in range(instances)]
     for spec in specs:
-        for degree in range(2, 6):
+        for degree in range(2, 7):
             if count_paths(spec, degree) <= DIFFERENTIAL_PATH_CAP:
                 yield rng, spec, degree
 
@@ -260,6 +261,7 @@ class TestTwoRouteAgreement:
                 agreements += 1
         assert agreements >= 1_000
         assert largest > 1_000
+        assert largest > 4_000  # degree 6 on four loops: 4,096 paths
 
     def test_raw_dimension_matches_class_dimension(self):
         from pacqa.oracle import _raw_dimension
@@ -342,6 +344,76 @@ class TestTraceAgainstBfsReference:
         assert min(per_degree[1:]) >= 500
         assert zero >= 2_000 and negative >= 200
         assert too_large <= 1_000
+
+
+def trace_state(ctx, word):
+    """``(below, at)`` of ``word``, built position by position from scratch
+    as :func:`_trace` does."""
+    at = [0] * len(ctx.names)
+    below = []
+    for j, y in enumerate(word):
+        free = 0
+        for x in ctx.indep[y]:
+            free |= at[x]
+        p = ((1 << j) - 1) & ~free
+        under = 0
+        while p:
+            i = p.bit_length() - 1
+            under |= below[i] | (1 << i)
+            p &= ~under
+        below.append(under)
+        at[y] |= 1 << j
+    return below, at
+
+
+# Frontier words per degree past which a spec stops growing in the test.
+APPEND_FRONTIER_CAP = 400
+
+
+class TestAppendRuleAgainstTrace:
+    """Every frontier extension ``w + (y,)`` that the append rule writes
+    into the memo against a full :func:`_trace` of the same word (zero
+    flag, canonical word and sign), and every carried state against one
+    rebuilt from the canonical word, at degrees up to 10."""
+
+    def test_every_frontier_extension(self):
+        rng = random.Random(5150)
+        specs = [fixture_ideal(name) for name in FIXTURES]
+        specs += [random_instance(rng) for _ in range(220)]
+        specs += [loop_family(rng, k, flavor) for k in range(4, 9)
+                  for flavor in (COMMUTATIVE, ANTICOMMUTATIVE)
+                  for _ in range(2)]
+        extensions = zero = negative = moved = 0
+        deepest = 0
+        for spec in specs:
+            ctx = context_for(spec)
+            frontier = _frontier_start(ctx)
+            for degree in range(2, 11):
+                if not frontier or len(frontier) > APPEND_FRONTIER_CAP:
+                    break
+                grown = _extend(ctx, frontier)
+                expected = set()
+                for word in frontier:
+                    for y in ctx.after[word[-1]]:
+                        key = word + (y,)
+                        is_zero, sign, canonical = _trace(ctx, key)
+                        assert ctx.forms[key] == (
+                            None if is_zero else (sign, canonical)), \
+                            (spec, ctx.decode(key))
+                        if not is_zero:
+                            expected.add(canonical)
+                        extensions += 1
+                        zero += is_zero
+                        negative += not is_zero and sign == -1
+                        moved += not is_zero and canonical != key
+                assert set(grown) == expected
+                for word, state in grown.items():
+                    assert state == trace_state(ctx, word), ctx.decode(word)
+                deepest = max(deepest, degree)
+                frontier = grown
+        assert extensions >= 100_000
+        assert zero >= 10_000 and negative >= 5_000 and moved >= 10_000
+        assert deepest == 10
 
 
 class TestFormMemo:

@@ -243,6 +243,27 @@ class TestGeneratorRows:
             algebra = quotient_basis_upto(spec, 6, self_check=False)
             assert dims == list(algebra.dimensions[2:]), name
 
+    def test_unit_first_order_keeps_every_row(self):
+        # the RREF of a span is unique: inserting the rows in generation
+        # order gives the same pivots and rows as the unit-first order
+        from pacqa.linalg import SpanBasis, field_for
+        from pacqa.oracle import _generator_rows, _raw_span
+
+        compared = 0
+        for name in FIXTURES:
+            spec = fixture_ideal(name)
+            for degree in range(2, 6):
+                field = field_for(spec.field_char)
+                col, rows = _generator_rows(spec, degree, field)
+                in_order = SpanBasis(field)
+                for row in rows:
+                    in_order.add(row)
+                raw_col, unit_first = _raw_span(spec, degree)
+                assert raw_col == col, (name, degree)
+                assert unit_first.rows == in_order.rows, (name, degree)
+                compared += bool(rows)
+        assert compared >= 20
+
 
 class TestPathCounts:
     def test_successor_walks_match_brute_force(self):
@@ -273,3 +294,14 @@ class TestPathCounts:
                 assert enumerate_paths(spec, d) == brute, (arrows, d)
                 assert count_paths(spec, d) == len(brute), (arrows, d)
         assert seen == {"parallel", "loop", "source", "sink"}
+
+    def test_counts_are_computed_once_per_degree(self, monkeypatch):
+        from pacqa import oracle
+
+        spec = fixture_ideal("comm_four_loops_arrow_out")
+        first = [count_paths(spec, d) for d in range(6)]
+        # the second pass reads the memo: with the successor tables out of
+        # reach, a recount would raise
+        monkeypatch.setattr(oracle, "context_for", None)
+        assert [count_paths(spec, d) for d in range(6)] == first
+        assert first == [2, 5, 20, 80, 320, 1280]
