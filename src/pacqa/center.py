@@ -115,36 +115,34 @@ def surviving_multi_vertex_cycle(spec: IdealSpec) -> Word | None:
     return None
 
 
-def hypothesis_report(spec: IdealSpec) -> dict:
-    """The theorem-mode preconditions and their outcomes."""
-    verdict = is_admissible(orthogonal(spec))
-    survivor = surviving_multi_vertex_cycle(spec)
+def hypothesis_report(spec: IdealSpec) -> dict[str, bool]:
+    """The three theorem-mode conditions, as the ``--json`` report prints
+    them."""
     return {
         "square_free": is_square_free(spec),
-        "orthogonal_admissible": verdict.admissible,
-        "orthogonal_cycle": verdict.cycle,
-        "loop_supported": survivor is None,
-        "surviving_multi_vertex_cycle": survivor,
+        "orthogonal_admissible": is_admissible(orthogonal(spec)).admissible,
+        "loop_supported": surviving_multi_vertex_cycle(spec) is None,
     }
 
 
 def require_loop_hypotheses(spec: IdealSpec) -> None:
     """Square-free plus admissible orthogonal: the preconditions for the
     loop-clique characterizations on loop-supported components."""
-    report = hypothesis_report(spec)
-    if not report["square_free"]:
+    if not is_square_free(spec):
         raise HypothesisError(
             "ideal is not square-free: the monomial characterization of the "
             "center does not apply; use the oracle")
-    if not report["orthogonal_admissible"]:
+    verdict = is_admissible(orthogonal(spec))
+    if not verdict.admissible:
         raise HypothesisError(
             "orthogonal ideal is not admissible (generator graph of the "
-            "ideal has the directed cycle "
-            + " -> ".join(report["orthogonal_cycle"])
+            "ideal has the directed cycle " + " -> ".join(verdict.cycle)
             + "); theorem mode refused, use the oracle")
 
 
 def require_hypotheses(spec: IdealSpec) -> None:
+    """The loop hypotheses, and no multi-vertex cycle surviving modulo the
+    ideal: the preconditions for the whole center."""
     require_loop_hypotheses(spec)
     survivor = surviving_multi_vertex_cycle(spec)
     if survivor is not None:

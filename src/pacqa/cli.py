@@ -1,9 +1,10 @@
 """Command-line frontend: parse a spec file, run one analysis, report.
 
 Exit codes: 0 analysis completed (whatever the verdict), 1 bad input,
-2 internal falsification (independent engines disagree).  ``--json`` emits
-a byte-stable report; ``--max-degree`` bounds every enumeration (default 8,
-or the PACQA_MAX_DEGREE environment variable).
+refused hypotheses or an exceeded budget, 2 internal falsification
+(independent engines disagree).  ``--json`` emits a byte-stable report;
+``--max-degree`` bounds every enumeration (default 8, or the
+PACQA_MAX_DEGREE environment variable).
 """
 from __future__ import annotations
 
@@ -85,16 +86,13 @@ def _center_payload(basis: CenterBasis) -> dict:
 
 def _report(doc: SpecDocument, command: str, result: dict,
             notices: list[str]) -> dict:
-    """The ``--json`` report; only it computes the hypothesis outcomes."""
+    """The ``--json`` report, with the theorem-mode hypothesis outcomes."""
     return {
         "tool": {"name": "pacqa", "version": __version__},
         "command": command,
         "input": {**_quiver_payload(doc.ideal), **_ideal_payload(doc.ideal),
                   "koszul_asserted": doc.koszul_asserted},
-        "hypotheses": {
-            k: v for k, v in hypothesis_report(doc.ideal).items()
-            if isinstance(v, bool)
-        },
+        "hypotheses": hypothesis_report(doc.ideal),
         "notices": notices,
         "result": result,
     }
@@ -336,9 +334,7 @@ def _cmd_oracle_check(doc: SpecDocument, args) -> _Outcome:
     checks.append(("membership two-route", two_route_ok,
                    "normal-form membership vs raw span membership"))
 
-    hypo = hypothesis_report(spec)
-    if (hypo["square_free"] and hypo["orthogonal_admissible"]
-            and hypo["loop_supported"]):
+    if all(hypothesis_report(spec).values()):
         theorem = central_monomials_upto(spec, args.max_degree)
         oracle = oracle_center_upto(spec, args.max_degree, algebra=algebra)
         same = all(
@@ -363,8 +359,6 @@ def _cmd_oracle_check(doc: SpecDocument, args) -> _Outcome:
     lines = [f"{'ok' if ok else 'DISAGREE'}: {name} ({detail})"
              for name, ok, detail in checks]
     lines.append("all engines agree" if agree else "ENGINES DISAGREE")
-    if not agree:
-        raise FalsificationError("oracle-check found a disagreement")
     return result, lines, []
 
 
@@ -451,6 +445,9 @@ def run(argv: list[str]) -> int:
                 sys.stdout.write(f"note: {notice}\n")
             for line in lines:
                 sys.stdout.write(line + "\n")
+        # oracle-check writes its report, disagreements included, first
+        if result.get("agree") is False:
+            raise FalsificationError("oracle-check found a disagreement")
         return 0
     except FalsificationError as exc:
         sys.stderr.write(f"falsification: {exc}\n")

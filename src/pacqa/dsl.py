@@ -58,8 +58,8 @@ def parse_spec(text: str) -> SpecDocument:
     vertices: list[str] | None = None
     arrows: list[tuple[str, str, str]] = []
     flavor: str | None = None
-    flavor_line = 0
     char: int | None = None
+    char_line = 0
     koszul = False
     monomials: list[tuple[tuple[str, str], int]] = []
     relations: list[tuple[tuple[str, str], int, str]] = []
@@ -92,12 +92,12 @@ def parse_spec(text: str) -> SpecDocument:
             if flavor is not None:
                 raise DslError("duplicate ideal line", lineno)
             flavor = word
-            flavor_line = lineno
         elif line.startswith("char:"):
             body = line[len("char:"):].strip()
             if not body.isdigit():
                 raise DslError("char must be 0 or a prime", lineno)
             char = int(body)
+            char_line = lineno
         elif line.startswith("zero:"):
             for item in _split_list(line[len("zero:"):], lineno):
                 word = _parse_word(item, lineno)
@@ -139,10 +139,6 @@ def parse_spec(text: str) -> SpecDocument:
         notices.append(
             f"quiver is disconnected ({len(quiver.connected_components)} "
             "components); the degree-0 center has one identity per component")
-    if char == 2 and flavor == ANTICOMMUTATIVE:
-        notices.append(
-            "characteristic 2: anticommutative relations are commutative "
-            "relations; flavor folded")
 
     try:
         ideal = validate_ideal(
@@ -151,9 +147,17 @@ def parse_spec(text: str) -> SpecDocument:
             relations=[w for w, _, _ in relations],
             field_char=char or 0)
     except InputError as exc:
-        located = monomials + [(w, line) for w, line, _ in relations]
-        raise DslError(str(exc),
-                       _locate(str(exc), located, flavor_line)) from exc
+        # validate_ideal checks the characteristic, then each generator in
+        # order: the first of these it refuses on its own is the culprit
+        parts = ([(char_line, {"field_char": char or 0})]
+                 + [(line, {"monomials": [w]}) for w, line in monomials]
+                 + [(line, {"relations": [w]}) for w, line, _ in relations])
+        for line, part in parts:
+            try:
+                validate_ideal(quiver, flavor, **part)
+            except InputError:
+                raise DslError(str(exc), line) from exc
+        raise
     notices.extend(ideal.normalization_notes)
     return SpecDocument(
         source=text,
@@ -162,16 +166,6 @@ def parse_spec(text: str) -> SpecDocument:
         koszul_asserted=koszul,
         notices=tuple(notices),
     )
-
-
-def _locate(message: str,
-            generators: list[tuple[tuple[str, str], int]],
-            default: int) -> int:
-    for (a, b), line in generators:
-        if f"{a}*{b}" in message or f"{{{a},{b}}}" in message \
-                or f"{{{b},{a}}}" in message:
-            return line
-    return default
 
 
 def print_spec(doc: SpecDocument) -> str:

@@ -23,8 +23,7 @@ from dataclasses import dataclass, replace
 from .center import DEFAULT_MAX_DEGREE, surviving_multi_vertex_cycle
 from .errors import FalsificationError, HypothesisError
 from .fingen import (FINITELY_GENERATED, INFINITELY_GENERATED, TRIVIAL,
-                     FinGenVerdict, center_finitely_generated,
-                     loop_supported_verdict)
+                     FinGenVerdict, loop_supported_verdict)
 from .graphs import is_admissible
 from .ideal import (KOSZUL_AUTO, KOSZUL_UNKNOWN, AlgebraPresentation,
                     IdealSpec, is_square_free, opposite_ideal, orthogonal)
@@ -120,37 +119,33 @@ def _dual_center_verdict(dual: IdealSpec, max_degree: int
     """Finite-generation verdict for the dual's center, handling quivers
     with multi-vertex cycles by the hybrid described in the module
     docstring."""
-    if surviving_multi_vertex_cycle(dual) is None:
-        return center_finitely_generated(dual), []
-    notes: list[str] = []
     verdict = loop_supported_verdict(dual)
+    if surviving_multi_vertex_cycle(dual) is None:
+        return verdict, []
     wrap_alive = _wrap_alive_cycle(dual)
+    if wrap_alive is not None:
+        # a fully surviving cycle spawns non-nilpotent necklace families
+        if verdict.status == TRIVIAL:
+            verdict = replace(verdict, status=FINITELY_GENERATED)
+        return verdict, [
+            "the cycle " + "*".join(wrap_alive) + " survives with all its "
+            "rotation pairs: its rotation sums are non-nilpotent central "
+            "elements, so HH*/N is not trivial; each such family is "
+            "generated by its first necklace"]
     cycle_elements = _cycle_supported_elements(dual, max_degree)
-    if wrap_alive is None and not cycle_elements:
-        notes.append(
+    if not cycle_elements:
+        return verdict, [
             "the dual quiver has multi-vertex cycles; every such cycle has "
             "a vanishing wrap pair and the oracle found no cycle-supported "
             f"central elements up to degree {max_degree}, so the "
-            "loop-supported verdict stands")
-        return verdict, notes
-    if wrap_alive is None:
-        # families are capped by dead wrap pairs: the finitely many found
-        # elements are nilpotent and vanish in HH*/N
-        rendered = ", ".join(e.render() for _, e in cycle_elements)
-        notes.append(
-            "cycle-supported central elements exist (" + rendered + ") but "
-            "their wrap pairs vanish, so they are nilpotent and do not "
-            "affect the verdict modulo nilpotents")
-        return verdict, notes
-    # a fully surviving cycle spawns non-nilpotent necklace families
-    notes.append(
-        "the cycle " + "*".join(wrap_alive) + " survives with all its "
-        "rotation pairs: its rotation sums are non-nilpotent central "
-        "elements, so HH*/N is not trivial; each such family is generated "
-        "by its first necklace")
-    if verdict.status == TRIVIAL:
-        verdict = replace(verdict, status=FINITELY_GENERATED)
-    return verdict, notes
+            "loop-supported verdict stands"]
+    # families are capped by dead wrap pairs: the finitely many found
+    # elements are nilpotent and vanish in HH*/N
+    rendered = ", ".join(e.render() for _, e in cycle_elements)
+    return verdict, [
+        "cycle-supported central elements exist (" + rendered + ") but "
+        "their wrap pairs vanish, so they are nilpotent and do not affect "
+        "the verdict modulo nilpotents"]
 
 
 def hochschild_fg(pres: AlgebraPresentation,

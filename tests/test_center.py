@@ -9,13 +9,14 @@ from helpers import (FIXTURES, build, fixture_ideal, random_instance,
                      two_loop_polynomial)
 from pacqa.center import (Centrality, center_is_trivial_at,
                           central_monomials_upto, even_center_upto,
-                          graded_center_upto, is_central_monomial,
-                          loop_clique_statuses)
+                          graded_center_upto, hypothesis_report,
+                          is_central_monomial, loop_clique_statuses,
+                          surviving_multi_vertex_cycle)
 from pacqa.errors import HypothesisError, PacqaError
 from pacqa.fingen import center_finitely_generated
-from pacqa.graphs import relation_graph
-from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec, restrict,
-                         validate_ideal)
+from pacqa.graphs import is_admissible, relation_graph
+from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec,
+                         is_square_free, orthogonal, restrict, validate_ideal)
 from pacqa.koszul import dual_ideal
 from pacqa.quiver import build_quiver
 
@@ -329,6 +330,22 @@ class TestCliqueStatusAgainstReference:
                            st.extender is not None)
                           for st in loop_clique_statuses(spec)}
         assert len(kinds) >= 3
+
+
+def test_hypothesis_report_reads_each_condition_from_its_source():
+    specs = [fixture_ideal(name) for name in FIXTURES]
+    specs += [random_instance(random.Random(seed)) for seed in range(200)]
+    outcomes = set()
+    for spec in specs:
+        report = hypothesis_report(spec)
+        assert report == {
+            "square_free": is_square_free(spec),
+            "orthogonal_admissible":
+                is_admissible(orthogonal(spec)).admissible,
+            "loop_supported": surviving_multi_vertex_cycle(spec) is None,
+        }
+        outcomes.add(tuple(report.values()))
+    assert len(outcomes) >= 4
 
 
 def test_center_and_fingen_build_no_relation_graph():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import pacqa
 
 from helpers import FIXTURES, fixture_doc, fixture_path, fixture_text
+from pacqa.center import central_monomials_upto
 from pacqa.cli import run
 from pacqa.dsl import parse_spec, print_spec
 from pacqa.errors import DslError
@@ -44,6 +46,7 @@ class TestParse:
         doc = parse_spec(text)
         assert doc.ideal.flavor == "commutative"
         assert any("characteristic 2" in n for n in doc.notices)
+        assert sum("folded" in n for n in doc.notices) == 1
 
     def test_bad_arrow_syntax(self):
         with pytest.raises(DslError) as err:
@@ -68,6 +71,19 @@ class TestParse:
         with pytest.raises(DslError) as err:
             parse_spec(text)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("body, line", [
+        ("zero: a*b\nzero: aa*b\n", 5),   # aa*b contains the text a*b
+        ("zero: a*b\n\nzero: a*z\n", 6),  # unknown arrow z
+        ("zero: a*b\nchar: 4\n", 5),
+    ], ids=["later-line", "unknown-arrow", "char"])
+    def test_validation_error_names_its_line(self, body, line):
+        text = ("vertices: x, y\n"
+                "arrows: a: x->x, b: x->y, aa: y->y\n"
+                "ideal commutative\n" + body)
+        with pytest.raises(DslError) as err:
+            parse_spec(text)
+        assert err.value.line == line
 
     def test_comments_and_blank_lines(self):
         doc = parse_spec("# heading\n\nvertices: x\n"
@@ -126,6 +142,29 @@ class TestCli:
         bad = tmp_path / "bad.quiver"
         bad.write_text("vertices: x\narrows: a: x->z\nideal commutative\n")
         assert run(["validate", str(bad)]) == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_oracle_check_reports_before_exit_two(self, capsys, monkeypatch,
+                                                  extra):
+        from pacqa import cli
+
+        def wrong_basis(spec, max_degree):
+            basis = central_monomials_upto(spec, max_degree)
+            return replace(basis, by_degree=basis.by_degree[1:])
+
+        monkeypatch.setattr(cli, "central_monomials_upto", wrong_basis)
+        code = run(["oracle-check", fixture_path("comm_four_loops_arrow_out"),
+                    "--max-degree", "4", *extra])
+        out = capsys.readouterr().out
+        assert code == 2
+        if extra:
+            report = json.loads(out)["result"]
+            assert report["agree"] is False
+            assert [c["name"] for c in report["checks"]
+                    if not c["ok"]] == ["center"]
+        else:
+            assert "DISAGREE: center" in out
+            assert out.endswith("ENGINES DISAGREE\n")
 
     def test_falsification_exit_code(self, tmp_path, capsys, monkeypatch):
         from pacqa import cli

@@ -108,6 +108,21 @@ class TestHochschild:
         assert verdict.dual.ideal.flavor == COMMUTATIVE
         assert verdict.status in (HH_FG, HH_INF)
 
+    def test_wrap_alive_cycle_skips_the_oracle_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle sweep ran")
+
+        monkeypatch.setattr("pacqa.oracle.oracle_center_upto", refuse)
+        spec = build(["x", "y"], [("c", "x", "y"), ("d", "y", "x")],
+                     monomials=[("c", "d"), ("d", "c")])
+        verdict = hochschild_fg(make_presentation(spec))
+        assert (verdict.status, verdict.trivial) == (HH_FG, False)
+        assert verdict.notes == (
+            f"the cycle d{OP}*c{OP} survives with all its rotation pairs: "
+            "its rotation sums are non-nilpotent central elements, so HH*/N "
+            "is not trivial; each such family is generated by its first "
+            "necklace",)
+
     def test_verdict_always_carries_dual(self):
         for name in ("comm_two_loops_arrow", "monomial_two_loops_two_arrows",
                      "anti_four_loops_full"):
