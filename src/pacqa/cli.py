@@ -427,7 +427,7 @@ def run(argv: list[str]) -> int:
         args.max_degree = _max_degree(args)
         with open(args.spec, encoding="utf-8") as handle:
             text = handle.read()
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     try:

@@ -18,8 +18,9 @@ import re
 from dataclasses import dataclass
 
 from .errors import DslError, InputError
-from .ideal import (ANTICOMMUTATIVE, COMMUTATIVE, AlgebraPresentation,
-                    IdealSpec, make_presentation, validate_ideal)
+from .ideal import (ANTICOMMUTATIVE, COMMUTATIVE, MAX_FIELD_CHAR,
+                    AlgebraPresentation, IdealSpec, make_presentation,
+                    validate_ideal)
 from .quiver import Quiver, build_quiver
 
 NAME = r"[A-Za-z_][A-Za-z_0-9']*"
@@ -96,7 +97,10 @@ def parse_spec(text: str) -> SpecDocument:
             body = line[len("char:"):].strip()
             if not body.isdigit():
                 raise DslError("char must be 0 or a prime", lineno)
-            char = int(body)
+            # a value with more digits than the bound is refused as the
+            # bound, before int() could fail on a very long one
+            char = (int(body) if len(body.lstrip("0"))
+                    <= len(str(MAX_FIELD_CHAR)) else MAX_FIELD_CHAR)
             char_line = lineno
         elif line.startswith("zero:"):
             for item in _split_list(line[len("zero:"):], lineno):

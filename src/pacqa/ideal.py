@@ -24,15 +24,20 @@ KOSZUL_AUTO = "auto-certified-monomial"
 KOSZUL_UNKNOWN = "unknown"
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+MAX_FIELD_CHAR = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Exact for ``n < MAX_FIELD_CHAR``: a strong probable prime test to
+    every base in ``_WITNESSES``."""
+    if n < 2 or any(n % p == 0 for p in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    return all(x == 1 or any(pow(x, 1 << i, n) == n - 1 for i in range(s))
+               for x in (pow(a, (n - 1) >> s, n) for a in _WITNESSES))
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,9 @@ def validate_ideal(quiver: Quiver,
     """
     if flavor not in FLAVORS:
         raise IdealError(f"unknown flavor {flavor!r}")
+    if field_char >= MAX_FIELD_CHAR:
+        raise IdealError(
+            f"field characteristic must be below {MAX_FIELD_CHAR}")
     if field_char != 0 and not _is_prime(field_char):
         raise IdealError("field characteristic must be 0 or a prime")
     notes: list[str] = []

@@ -1,7 +1,9 @@
 """Small sparse exact linear algebra over Q or a prime field.
 
-Everything the oracle needs: a row space kept in reduced row echelon form
-for span-membership queries, and nullspaces read from it.  Rows are
+A row space kept in reduced row echelon form for span-membership queries,
+and nullspaces read from it: the oracle's centralizer blocks and its
+finite-generation evidence, whose rows have many terms (the raw self-check's
+rows have at most two, and it uses a signed union-find instead).  Rows are
 ``{column: coefficient}`` dicts of nonzero entries (dense sequences are
 accepted too); entries stay exact (Fractions in characteristic 0, ints mod
 p otherwise).

@@ -10,14 +10,16 @@ The basis frontier extends each canonical word by one arrow with the
 normal-form append rule, O(degree + arrows) per extension instead of a full
 normal form; the results stay in the spec's form memo, where the center's
 right products and the nilpotence powers read them.
-The self-check recomputes each small degree by raw Gaussian elimination over
-the full path list: the span of every ``p * generator * q``, single-entry
-rows first, then the binomials, in generic sparse elimination.
+The self-check recomputes each small degree from the full path list alone:
+every row ``p * generator * q`` is a unit or a signed binomial, so the raw
+quotient is a parity union-find over the paths (:class:`_SignedQuotient`),
+and each canonical word must name its own live class there.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .center import CenterBasis, CenterElement, surviving_multi_vertex_cycle
 from .errors import BudgetError, FalsificationError
@@ -43,7 +45,7 @@ class TruncatedAlgebra:
     spec: IdealSpec
     max_degree: int
     basis: tuple[tuple[Word, ...], ...]  # index d -> canonical words
-    self_checked: tuple[int, ...]  # degrees re-verified by raw elimination
+    self_checked: tuple[int, ...]  # degrees matched against the raw quotient
 
     @property
     def dimensions(self) -> tuple[int, ...]:
@@ -62,91 +64,138 @@ def enumerate_paths(spec: IdealSpec, degree: int) -> list[tuple[int, ...]]:
 
 
 @_per_ideal
-def _path_counts(spec: IdealSpec) -> dict[int, int]:
-    """Degree -> number of paths, filled in by :func:`count_paths`."""
-    return {}
+def _path_counts(spec: IdealSpec) -> SimpleNamespace:
+    """``totals``: degree -> number of paths; ``last``: ``(degree, paths
+    ending in each arrow)`` at the highest degree counted, set whole."""
+    return SimpleNamespace(totals={}, last=None)
 
 
 def count_paths(spec: IdealSpec, degree: int) -> int:
     """The number of paths of the given degree, computed once per spec and
-    degree."""
+    degree; a new degree extends the highest one counted."""
     counts = _path_counts(spec)
-    if degree not in counts:
+    if degree not in counts.totals:
         if degree == 0:
-            counts[degree] = len(spec.quiver.vertices)
+            counts.totals[degree] = len(spec.quiver.vertices)
         else:
             before = context_for(spec).before
-            ending = [1] * len(before)  # arrow -> paths ending in it
-            for _ in range(degree - 1):
+            d, ending = counts.last or (1, [1] * len(before))
+            counts.totals[d] = sum(ending)
+            while d < degree:
                 ending = [sum(ending[i] for i in into) for into in before]
-            counts[degree] = sum(ending)
-    return counts[degree]
+                d += 1
+                counts.totals[d] = sum(ending)
+            counts.last = (d, ending)
+    return counts.totals[degree]
 
 
-def _generator_rows(spec: IdealSpec, degree: int, field):
-    """Rows spanning the degree slice of the ideal over the full path list:
-    one ``{column: coefficient}`` row of at most two entries per product
-    p * generator * q, where a path holding several monomial generators
-    gets its unit row once.  Returns (column of each path, rows); the path
-    order defines the columns."""
-    ctx = context_for(spec)
-    col = {w: i for i, w in enumerate(enumerate_paths(spec, degree))}
-    one = field.of(1)
-    minus_eps = field.neg(field.of(ctx.eps))
-    pairs = ([(ctx.index[a], ctx.index[b], False) for a, b in spec.monomials]
-             + [(ctx.index[a], ctx.index[b], True) for a, b in spec.relations])
-    # length -> the paths of that length, with the empty word at 0
-    walks = [[()]] + [enumerate_paths(spec, k) for k in range(1, degree - 1)]
+class _SignedQuotient:
+    """The quotient of the space on columns ``0..size-1`` by unit rows
+    ``x_c`` (:meth:`kill`) and binomial rows ``x_c - (-1)^odd x_d``
+    (:meth:`join`), as a parity union-find with union by size (Tarjan,
+    JACM 22, 1975) whose parities are bits, never field elements.
 
-    rows = []
-    units = set()  # columns whose unit row is already emitted
-    for i in range(degree - 1):
-        for u, v, is_rel in pairs:
-            for p in walks[i]:
-                if p and u not in ctx.after[p[-1]]:
-                    continue
-                for q in walks[degree - 2 - i]:
-                    if q and q[0] not in ctx.after[v]:
-                        continue
-                    c = col[p + (u, v) + q]
-                    if is_rel:
-                        # relation generator uv - eps*vu
-                        rows.append({c: one, col[p + (v, u) + q]: minus_eps})
-                    elif c not in units:
-                        units.add(c)
-                        rows.append({c: one})
-    return col, rows
+    Exact: a spanning tree of a component K of the binomial graph, rooted
+    at r, gives each c in K a sign s_c with ``x_c - s_c x_r`` in the span.
+    Modulo these |K| - 1 tree rows, any other binomial on K is
+    ``(s_c - (-1)^odd s_d) x_r``, nonzero only where it closes an odd cycle
+    and 2 != 0, and a unit row is ``s_c x_r``; so the span on K is all of
+    K's columns if K holds either, else the kernel of ``x_c -> s_c``.
+    Components share no column: each live one adds one dimension, and a
+    vector lies in the span iff its signed sum on every live one is zero.
+    """
+
+    def __init__(self, size: int, field):
+        self.field = field
+        self._parent = list(range(size))
+        self._odd = [0] * size  # parity of the sign to the parent
+        self._size = [1] * size  # at a root: the component's size
+        self._dead = [False] * size  # at a root: the component is zero
+
+    def _find(self, c: int) -> tuple[int, int]:
+        """``(root, parity)`` with ``x_c = (-1)^parity x_root``; reads only,
+        so threads may share a built quotient."""
+        parity = 0
+        while self._parent[c] != c:
+            parity ^= self._odd[c]
+            c = self._parent[c]
+        return c, parity
+
+    def kill(self, c: int) -> None:
+        self._dead[self._find(c)[0]] = True
+
+    def join(self, c: int, d: int, odd: int) -> None:
+        (rc, pc), (rd, pd) = self._find(c), self._find(d)
+        if rc == rd:
+            if pc ^ pd ^ odd and self.field.char != 2:  # x_c = -x_c
+                self._dead[rc] = True
+            return
+        if self._size[rc] < self._size[rd]:  # the tree depth stays log
+            rc, rd = rd, rc
+        self._parent[rd], self._odd[rd] = rc, pc ^ pd ^ odd
+        self._size[rc] += self._size[rd]
+        self._dead[rc] = self._dead[rc] or self._dead[rd]
+
+    def live_class(self, c: int) -> int | None:
+        """The root of column ``c``'s class, or None when the class is 0."""
+        root = self._find(c)[0]
+        return None if self._dead[root] else root
+
+    @property
+    def dimension(self) -> int:
+        return sum(p == c and not self._dead[c]
+                   for c, p in enumerate(self._parent))
+
+    def contains(self, vec: dict[int, object]) -> bool:
+        field = self.field
+        sums: dict[int, object] = {}
+        for c, x in vec.items():
+            root, parity = self._find(c)
+            if not self._dead[root]:
+                acc = sums.get(root, field.of(0))
+                sums[root] = field.sub(acc, x) if parity else field.add(acc, x)
+        return all(field.is_zero(s) for s in sums.values())
 
 
 @_per_ideal
-def _raw_spans(spec: IdealSpec) -> dict[int, tuple[dict, SpanBasis]]:
-    """Degree -> (column of each path, span of the ideal's degree slice)."""
+def _raw_spans(spec: IdealSpec) -> dict[int, tuple[dict, _SignedQuotient]]:
+    """Degree -> (column of each path, quotient of the degree slice)."""
     return {}
 
 
-def _raw_span(spec: IdealSpec, degree: int) -> tuple[dict, SpanBasis]:
-    """The raw span of one degree slice, built once per spec and degree.
-    The single-entry rows go in before the binomial rows, so each binomial
-    meets its zero columns already eliminated; the RREF is unique, so the
-    order changes no row.  A span enters the memo only when complete, so a
-    reader in another thread never sees a partial one (two threads may both
-    build it)."""
+def _raw_span(spec: IdealSpec, degree: int
+              ) -> tuple[dict, _SignedQuotient]:
+    """The raw quotient of one degree slice, built once per spec and degree
+    in one pass over the paths, from the generators alone: the rows of all
+    ``p * generator * q`` kill each path holding a monomial generator and
+    join each path to its swap across a related pair.  It enters the memo
+    only when complete, so a reader in another thread never sees a partial
+    one (two threads may both build it)."""
     spans = _raw_spans(spec)
     if degree not in spans:
-        field = field_for(spec.field_char)
-        col, rows = _generator_rows(spec, degree, field)
-        span = SpanBasis(field)
-        for row in sorted(rows, key=len):  # stable: units first
-            span.add(row)
-        spans[degree] = (col, span)
+        ctx = context_for(spec)
+        kills = {(ctx.index[a], ctx.index[b]) for a, b in spec.monomials}
+        swaps = {(ctx.index[a], ctx.index[b]) for a, b in spec.relations}
+        odd = ctx.eps < 0
+        paths = enumerate_paths(spec, degree)
+        col = {w: i for i, w in enumerate(paths)}
+        quotient = _SignedQuotient(len(paths), field_for(spec.field_char))
+        for c, w in enumerate(paths):
+            pairs = list(zip(w, w[1:]))
+            if not kills.isdisjoint(pairs):
+                quotient.kill(c)
+            if not swaps.isdisjoint(pairs):
+                for k, pair in enumerate(pairs):
+                    if pair in swaps:  # one orientation: each edge once
+                        swapped = w[:k] + pair[::-1] + w[k + 2:]
+                        quotient.join(c, col[swapped], odd)
+        spans[degree] = (col, quotient)
     return spans[degree]
 
 
 def _raw_dimension(spec: IdealSpec, degree: int) -> int:
-    """Quotient dimension at one degree by raw elimination:
-    dim = #paths - rank(span of p * generator * q)."""
-    col, span = _raw_span(spec, degree)
-    return len(col) - span.dimension
+    """Quotient dimension at one degree, from the raw quotient."""
+    return _raw_span(spec, degree)[1].dimension
 
 
 def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
@@ -159,8 +208,8 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
     word carries its trace state and grows by the append rule
     (:func:`normalform._extend`), which also fills the form memo that the
     center's right products read.  When the raw path count at a degree is
-    small enough the dimension is recomputed by raw elimination and
-    compared.
+    small enough, the raw quotient checks the words class by class: as
+    many as its dimension, each in a different nonzero class.
     """
     ctx = context_for(spec)
     basis: list[tuple[Word, ...]] = [tuple(spec.quiver.vertices)]
@@ -182,24 +231,31 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
                 raise FalsificationError(
                     f"degree {d}: class-based dimension {len(words)} "
                     f"disagrees with raw elimination {raw}")
+            col, quotient = _raw_span(spec, d)
+            classes = {quotient.live_class(col[w]) for w in words}
+            if None in classes or len(classes) != raw:
+                raise FalsificationError(
+                    f"degree {d}: the canonical words do not fall in "
+                    "distinct nonzero raw classes")
             checked.append(d)
         basis.append(tuple(ctx.decode(w) for w in words))
     return TruncatedAlgebra(spec, max_degree, tuple(basis), tuple(checked))
 
 
 def raw_monomial_in_ideal(spec: IdealSpec, word: Word) -> bool:
-    """Ideal membership by raw span reduction, independent of the normal
-    forms; only for degrees where the full path list is affordable."""
+    """Ideal membership read off the raw quotient, independent of the
+    normal forms; only for degrees where the full path list is
+    affordable."""
     degree = len(word)
     if degree < 2:
         return False
     if count_paths(spec, degree) > SELF_CHECK_PATH_CAP:
         raise BudgetError("path list too large for the raw membership route")
-    col, span = _raw_span(spec, degree)
+    col, quotient = _raw_span(spec, degree)
     target = context_for(spec).encode(word)
     if target not in col:
         raise FalsificationError(f"{'*'.join(word)} is not a path")
-    return span.contains({col[target]: span.field.of(1)})
+    return quotient.contains({col[target]: quotient.field.of(1)})
 
 
 def _multiset(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ from importlib import resources
 from pacqa.dsl import SpecDocument, parse_spec
 from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec,
                          validate_ideal)
+from pacqa.oracle import count_paths
 from pacqa.quiver import build_quiver
 
 FIXTURES = (
@@ -135,3 +136,21 @@ def random_surviving_word(rng: random.Random, spec: IdealSpec,
         if ok and not monomial_in_ideal(spec, tuple(word)):
             return tuple(word)
     return None
+
+
+# Differential sizes: every degree 2..6 slice of up to this many paths.
+# The raw route's own cap (SELF_CHECK_PATH_CAP) is lower; the differential
+# tests read the shared raw quotient directly.
+DIFFERENTIAL_PATH_CAP = 4_096
+
+
+def differential_cases(seed: int, instances: int):
+    """(rng, spec, degree) over the fixtures and random instances, for every
+    degree slice within the cap."""
+    rng = random.Random(seed)
+    specs = [fixture_ideal(name) for name in FIXTURES]
+    specs += [random_instance(rng) for _ in range(instances)]
+    for spec in specs:
+        for degree in range(2, 7):
+            if count_paths(spec, degree) <= DIFFERENTIAL_PATH_CAP:
+                yield rng, spec, degree

@@ -1,0 +1,48 @@
+"""Reference for the oracle's raw quotient: the generator rows the raw
+self-check fed to generic elimination before it became a signed
+union-find.
+
+One ``{column: coefficient}`` row of at most two entries per product
+``p * generator * q`` over the full path list, where a path holding several
+monomial generators gets its unit row once.  Fed through
+:class:`pacqa.linalg.SpanBasis`, the rows span the ideal's degree slice;
+the differential tests compare that span with the quotient.  Kept only for
+those tests; nothing in the package imports it.
+"""
+from __future__ import annotations
+
+from pacqa.ideal import IdealSpec
+from pacqa.normalform import context_for
+from pacqa.oracle import enumerate_paths
+
+
+def generator_rows(spec: IdealSpec, degree: int, field
+                   ) -> tuple[dict[tuple[int, ...], int], list[dict]]:
+    """(column of each path, rows); the path order defines the columns."""
+    ctx = context_for(spec)
+    col = {w: i for i, w in enumerate(enumerate_paths(spec, degree))}
+    one = field.of(1)
+    minus_eps = field.neg(field.of(ctx.eps))
+    pairs = ([(ctx.index[a], ctx.index[b], False) for a, b in spec.monomials]
+             + [(ctx.index[a], ctx.index[b], True) for a, b in spec.relations])
+    # length -> the paths of that length, with the empty word at 0
+    walks = [[()]] + [enumerate_paths(spec, k) for k in range(1, degree - 1)]
+
+    rows = []
+    units = set()  # columns whose unit row is already emitted
+    for i in range(degree - 1):
+        for u, v, is_rel in pairs:
+            for p in walks[i]:
+                if p and u not in ctx.after[p[-1]]:
+                    continue
+                for q in walks[degree - 2 - i]:
+                    if q and q[0] not in ctx.after[v]:
+                        continue
+                    c = col[p + (u, v) + q]
+                    if is_rel:
+                        # relation generator uv - eps*vu
+                        rows.append({c: one, col[p + (v, u) + q]: minus_eps})
+                    elif c not in units:
+                        units.add(c)
+                        rows.append({c: one})
+    return col, rows

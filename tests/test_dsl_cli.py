@@ -143,6 +143,28 @@ class TestCli:
         bad.write_text("vertices: x\narrows: a: x->z\nideal commutative\n")
         assert run(["validate", str(bad)]) == 1
 
+    def test_non_utf8_spec_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.quiver"
+        bad.write_bytes(b"\xff\xfevertices: x\n")
+        assert run(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("char, code", [
+        ("1000000000000000000000007", 0),  # a 25-digit prime
+        # 25 digits: 999999999989 * 1000000000039, no small factor
+        ("1000000000027999999999571", 1),
+        ("3317044064679887385961981", 1),  # the bound; passes Miller-Rabin
+        ("7" * 5000, 1),  # past int()'s default digit limit
+    ], ids=["prime", "composite", "bound", "five-thousand-digits"])
+    def test_large_characteristic_answers_at_once(self, tmp_path, capsys,
+                                                  char, code):
+        spec = tmp_path / "big.quiver"
+        spec.write_text(fixture_text("comm_two_loops_arrow")
+                        + f"char: {char}\n")
+        assert run(["validate", str(spec)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [[], ["--json"]])
     def test_oracle_check_reports_before_exit_two(self, capsys, monkeypatch,
                                                   extra):

@@ -56,6 +56,22 @@ class TestValidate:
         with pytest.raises(IdealError):
             build(["x"], [("a", "x", "x")], COMMUTATIVE, char=4)
 
+    def test_primality_is_exact_below_the_bound(self):
+        from pacqa.ideal import MAX_FIELD_CHAR, _is_prime
+        sieve = [True] * 5000
+        sieve[0] = sieve[1] = False
+        for i in range(2, 5000):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(sieve[i * i::i])
+        assert [_is_prime(n) for n in range(5000)] == sieve
+        # the least strong pseudoprime to the bases 2..37, a product of two
+        # primes, and the 25-digit prime 10^24 + 7
+        assert not _is_prime(318665857834031151167461)
+        assert not _is_prime(999999999989 * 1000000000039)
+        assert _is_prime(10**24 + 7)
+        with pytest.raises(IdealError, match="below"):
+            build(["x"], [("a", "x", "x")], COMMUTATIVE, char=MAX_FIELD_CHAR)
+
     def test_char_two_folds_flavor(self):
         spec = build(["x"], [("a", "x", "x"), ("b", "x", "x")],
                      ANTICOMMUTATIVE, relations=[("a", "b")], char=2)

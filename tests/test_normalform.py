@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfs_reference import BfsReference, ClassTooLarge
-from helpers import (FIXTURES, build, fixture_ideal, random_instance,
-                     random_surviving_word)
+from helpers import (FIXTURES, build, differential_cases, fixture_ideal,
+                     random_instance, random_surviving_word)
 from pacqa.errors import BudgetError, IdealError
 from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
 from pacqa.normalform import (CLASS_MEMBER_CAP, _extend, _frontier_start,
@@ -174,8 +174,8 @@ class TestBinomialMembership:
 
 def _raw_contains(spec, terms) -> bool:
     """Raw span membership of ``sum coeff * word`` over ``(coeff, word)``
-    terms of one degree, read from the oracle's shared per-degree span, at
-    any path count."""
+    terms of one degree, read from the oracle's shared per-degree raw
+    quotient, at any path count."""
     from pacqa.normalform import context_for
     from pacqa.oracle import _raw_span
 
@@ -222,24 +222,6 @@ class TestSquareReduction:
         assert checked >= 1
 
 
-# Differential sizes: every degree 2..6 slice of up to this many paths.
-# The raw route's own cap (SELF_CHECK_PATH_CAP) is lower; these tests read
-# the shared span directly.
-DIFFERENTIAL_PATH_CAP = 4_096
-
-
-def _differential_cases(seed: int, instances: int):
-    """(rng, spec, degree) over the fixtures and random instances, for every
-    degree slice within the cap."""
-    rng = random.Random(seed)
-    specs = [fixture_ideal(name) for name in FIXTURES]
-    specs += [random_instance(rng) for _ in range(instances)]
-    for spec in specs:
-        for degree in range(2, 7):
-            if count_paths(spec, degree) <= DIFFERENTIAL_PATH_CAP:
-                yield rng, spec, degree
-
-
 class TestTwoRouteAgreement:
     def test_normal_form_matches_raw_span(self):
         from pacqa.normalform import context_for
@@ -247,7 +229,7 @@ class TestTwoRouteAgreement:
 
         agreements = 0
         largest = 0
-        for rng, spec, degree in _differential_cases(90, 100):
+        for rng, spec, degree in differential_cases(90, 100):
             ctx = context_for(spec)
             paths = enumerate_paths(spec, degree)
             largest = max(largest, len(paths))
@@ -267,7 +249,7 @@ class TestTwoRouteAgreement:
         from pacqa.oracle import _raw_dimension
 
         compared = 0
-        for _, spec, degree in _differential_cases(4242, 100):
+        for _, spec, degree in differential_cases(4242, 100):
             algebra = quotient_basis_upto(spec, degree, self_check=False)
             assert _raw_dimension(spec, degree) == algebra.dimensions[degree]
             compared += 1

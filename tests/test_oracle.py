@@ -3,13 +3,19 @@ from __future__ import annotations
 import itertools
 import random
 
-from helpers import (FIXTURES, build, fixture_ideal, fixture_path,
-                     two_loop_polynomial)
-from pacqa.ideal import COMMUTATIVE
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (FIXTURES, build, differential_cases, fixture_ideal,
+                     fixture_path, two_loop_polynomial)
+from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
 from pacqa.koszul import dual_ideal
+from pacqa.linalg import SpanBasis, field_for
 from pacqa.oracle import (count_paths, enumerate_paths, oracle_center_upto,
                           oracle_fg_evidence, oracle_nilpotence_check,
                           quotient_basis_upto)
+from raw_rows_reference import generator_rows
 
 
 def degree_words(basis):
@@ -42,6 +48,31 @@ class TestQuotientBasis:
         for name in ("comm_two_loops_arrow", "monomial_two_loops_two_arrows"):
             alg = quotient_basis_upto(fixture_ideal(name), 4)
             assert alg.self_checked
+
+    @pytest.mark.parametrize("wrong", ["ba", "aa"],
+                             ids=["class-taken-twice", "zero-word"])
+    def test_self_check_matches_words_to_classes(self, monkeypatch, wrong):
+        # swap the degree-2 word b*c for a word of the same degree that
+        # repeats a*b's class or is zero: the count still agrees, so only
+        # the class-by-class check sees it
+        from pacqa import oracle
+        from pacqa.errors import FalsificationError
+
+        spec = fixture_ideal("comm_two_loops_arrow")
+        original = oracle._extend
+
+        def swapped(ctx, frontier):
+            grown = original(ctx, frontier)
+            state = grown.pop(ctx.encode(("b", "c")))
+            grown[ctx.encode(tuple(wrong))] = state
+            return grown
+
+        monkeypatch.setattr(oracle, "_extend", swapped)
+        assert oracle._raw_dimension(spec, 2) == 2
+        with pytest.raises(FalsificationError, match="raw classes"):
+            quotient_basis_upto(spec, 2)
+        words = quotient_basis_upto(spec, 2, self_check=False).basis[2]
+        assert set(words) == {("a", "b"), tuple(wrong)}
 
     def test_budget_guard(self):
         import pytest as _pytest
@@ -188,25 +219,44 @@ class TestFgEvidence:
 class TestRawSpanMemo:
     def test_oracle_check_builds_each_degree_once(self, monkeypatch):
         # oracle-check self-checks every affordable degree and then samples
-        # words for the raw membership route; both read one span per degree
+        # words for the raw membership route; both read one quotient per
+        # degree, and each quotient build walks the degree's paths once
         from collections import Counter
 
         from pacqa import oracle
         from pacqa.cli import run
 
-        original = oracle._generator_rows
+        original = oracle.enumerate_paths
         for name in FIXTURES:
             built: Counter = Counter()
 
-            def counting(spec, degree, field):
+            def counting(spec, degree):
                 built[degree] += 1
-                return original(spec, degree, field)
+                return original(spec, degree)
 
-            monkeypatch.setattr(oracle, "_generator_rows", counting)
+            monkeypatch.setattr(oracle, "enumerate_paths", counting)
             assert run(["oracle-check", fixture_path(name),
                         "--max-degree", "6"]) == 0
             assert built, name
             assert max(built.values()) == 1, (name, built)
+
+    def test_reads_leave_the_shared_quotient_unchanged(self):
+        # the memo hands every thread the same quotient, so a read may write
+        # nothing: a path compression in one thread could pair a new parent
+        # with a parity another thread read before.  This spec's build
+        # leaves live paths two and three links below their root, with odd
+        # parities between
+        from pacqa.oracle import _raw_span
+
+        spec = build(["x"], [(a, "x", "x") for a in "abce"], ANTICOMMUTATIVE,
+                     relations=[("a", "b"), ("a", "e"), ("b", "c"),
+                                ("c", "e")])
+        col, quotient = _raw_span(spec, 6)
+        before = (list(quotient._parent), list(quotient._odd))
+        for c in range(len(col)):
+            quotient.live_class(c)
+            assert not quotient.contains({c: 1})
+        assert (quotient._parent, quotient._odd) == before
 
 
 class TestGeneratorRows:
@@ -222,14 +272,11 @@ class TestGeneratorRows:
     }
 
     def test_rows_are_distinct(self):
-        from pacqa.linalg import field_for
-        from pacqa.oracle import _generator_rows
-
         for name in FIXTURES:
             spec = fixture_ideal(name)
             for degree in range(2, 7):
-                _, rows = _generator_rows(spec, degree,
-                                          field_for(spec.field_char))
+                _, rows = generator_rows(spec, degree,
+                                         field_for(spec.field_char))
                 keys = {frozenset(row.items()) for row in rows}
                 assert len(keys) == len(rows), (name, degree)
 
@@ -243,26 +290,81 @@ class TestGeneratorRows:
             algebra = quotient_basis_upto(spec, 6, self_check=False)
             assert dims == list(algebra.dimensions[2:]), name
 
-    def test_unit_first_order_keeps_every_row(self):
-        # the RREF of a span is unique: inserting the rows in generation
-        # order gives the same pivots and rows as the unit-first order
-        from pacqa.linalg import SpanBasis, field_for
-        from pacqa.oracle import _generator_rows, _raw_span
+    def test_quotient_matches_reference_elimination(self):
+        # the generator rows through generic elimination span the same
+        # slice as the signed quotient: equal dimension, and equal
+        # membership of every unit vector, of binomials and of sparse
+        # vectors with random coefficients
+        from pacqa.oracle import _raw_span
 
-        compared = 0
-        for name in FIXTURES:
-            spec = fixture_ideal(name)
-            for degree in range(2, 6):
-                field = field_for(spec.field_char)
-                col, rows = _generator_rows(spec, degree, field)
-                in_order = SpanBasis(field)
-                for row in rows:
-                    in_order.add(row)
-                raw_col, unit_first = _raw_span(spec, degree)
-                assert raw_col == col, (name, degree)
-                assert unit_first.rows == in_order.rows, (name, degree)
-                compared += bool(rows)
-        assert compared >= 20
+        compared = members = 0
+        for rng, spec, degree in differential_cases(5150, 60):
+            field = field_for(spec.field_char)
+            col, rows = generator_rows(spec, degree, field)
+            span = SpanBasis(field)
+            for row in sorted(rows, key=len):  # units first: fewer updates
+                span.add(row)
+            raw_col, quotient = _raw_span(spec, degree)
+            assert raw_col == col
+            assert quotient.dimension == len(col) - span.dimension
+            paths = list(col)
+            vectors = [{c: field.of(1)} for c in range(len(paths))]
+            for _ in range(40 if paths else 0):
+                # w against an adjacent swap of itself (often a path of its
+                # class) and against a random path, with both signs
+                w = rng.choice(paths)
+                k = rng.randrange(degree - 1)
+                near = w[:k] + w[k:k + 2][::-1] + w[k + 2:]
+                for other in (near, rng.choice(paths)):
+                    if other in col and other != w:
+                        vectors += [{col[w]: field.of(1),
+                                     col[other]: field.of(sign)}
+                                    for sign in (1, -1)]
+                picked = rng.sample(range(len(paths)),
+                                    min(len(paths), rng.randint(1, 6)))
+                vectors.append({c: field.of(rng.randint(-3, 3))
+                                for c in picked})
+            for vec in vectors:
+                member = span.contains(vec)
+                assert quotient.contains(vec) == member, (spec, degree, vec)
+                members += member
+                compared += 1
+        assert members >= 50_000 and compared - members >= 20_000, \
+            (members, compared)
+
+
+class TestSignedQuotient:
+    @settings(max_examples=300, deadline=None)
+    @given(char=st.sampled_from([0, 2, 3, 5]), size=st.integers(1, 7),
+           data=st.data())
+    def test_matches_elimination_on_random_rows(self, char, size, data):
+        # rows x_c (d is None) or x_c - s * x_d with s = +-1, c == d
+        # allowed; the quotient's dimension and the membership of every
+        # unit vector and of random vectors agree with generic elimination
+        from pacqa.oracle import _SignedQuotient
+
+        field = field_for(char)
+        column = st.integers(0, size - 1)
+        rows = data.draw(st.lists(
+            st.tuples(column, st.none() | column, st.booleans()),
+            max_size=2 * size))
+        span = SpanBasis(field)
+        quotient = _SignedQuotient(size, field)
+        for c, d, odd in rows:
+            vec = {c: field.of(1)}
+            if d is None:
+                quotient.kill(c)
+            else:
+                quotient.join(c, d, odd)
+                vec[d] = field.add(vec.get(d, field.of(0)),
+                                   field.of(1 if odd else -1))
+            span.add(vec)
+        assert quotient.dimension == size - span.dimension
+        vectors = [{c: field.of(1)} for c in range(size)]
+        vectors += data.draw(st.lists(st.dictionaries(
+            column, st.integers(-3, 3).map(field.of)), max_size=4))
+        for vec in vectors:
+            assert quotient.contains(vec) == span.contains(vec), vec
 
 
 class TestPathCounts:
@@ -305,3 +407,12 @@ class TestPathCounts:
         monkeypatch.setattr(oracle, "context_for", None)
         assert [count_paths(spec, d) for d in range(6)] == first
         assert first == [2, 5, 20, 80, 320, 1280]
+
+    def test_deep_counts_extend_the_last_degree(self):
+        # four loops and an arrow out: 5 * 4^(d-1) paths of degree d >= 1;
+        # degree 3,000 extends degree 6 and costs one vector step each
+        spec = fixture_ideal("comm_four_loops_arrow_out")
+        assert count_paths(spec, 6) == 5 * 4**5
+        assert count_paths(spec, 3000) == 5 * 4**2999
+        assert count_paths(spec, 7) == 5 * 4**6
+        assert count_paths(spec, 3001) == 5 * 4**3000
