@@ -95,7 +95,8 @@ class IdealSpec:
 def _per_ideal(fn):
     """Memoise ``fn(spec)`` in the spec's instance ``__dict__``, as
     ``cached_property`` does, so the result lives and dies with the spec.
-    A cached ``None`` counts as a hit."""
+    A cached ``None`` counts as a hit.  Racing first calls may both compute;
+    the first value stored wins, and every caller gets that one."""
     key = f"_{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
@@ -103,8 +104,7 @@ def _per_ideal(fn):
         try:
             return spec.__dict__[key]
         except KeyError:
-            value = spec.__dict__[key] = fn(spec)
-            return value
+            return spec.__dict__.setdefault(key, fn(spec))
     return memo
 
 

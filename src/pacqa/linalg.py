@@ -1,7 +1,7 @@
 """Small sparse exact linear algebra over Q or a prime field.
 
-A row space kept in reduced row echelon form for span-membership queries,
-and nullspaces read from it: the oracle's centralizer blocks and its
+A row space kept in row echelon form for span-membership queries, reduced
+once when a nullspace reads it: the oracle's centralizer blocks and its
 finite-generation evidence, whose rows have many terms (the raw self-check's
 rows have at most two, and it uses a signed union-find instead).  Rows are
 ``{column: coefficient}`` dicts of nonzero entries (dense sequences are
@@ -10,7 +10,6 @@ p otherwise).
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
@@ -81,30 +80,30 @@ def field_for(char: int):
 
 
 class SpanBasis:
-    """Row space kept in reduced row echelon form for membership tests.
+    """Row space kept in row echelon form for membership tests.
 
-    ``rows`` maps each pivot column to its row: the pivot entry is 1, it is
-    the row's leftmost entry, and every other entry sits in a non-pivot
-    column.  Sorted by pivot, the rows are the unique RREF of the span.
-    ``_holders`` maps each non-pivot column to the pivots of the rows with
-    an entry there, so an insertion touches only the rows it changes.
+    ``rows`` maps each pivot column to its row: the pivot entry is 1 and it
+    is the row's leftmost entry.  A new row is reduced against the older
+    pivots only, so an insertion rewrites no stored row; :meth:`reduced`
+    back-substitutes once, into the unique RREF of the span.
     """
 
     def __init__(self, field):
         self.field = field
         self.rows: dict[int, dict] = {}
-        self._holders: defaultdict[int, set[int]] = defaultdict(set)
 
     def _reduce(self, vec: _Vector) -> dict:
         """The nonzero entries of ``vec`` minus its part in the span."""
-        field = self.field
+        field, rows = self.field, self.rows
         # plain dicts, the common case, skip the slower abc instance check
         items = (vec.items() if type(vec) is dict or isinstance(vec, Mapping)
                  else enumerate(vec))
         out = {c: x for c, x in items if not field.is_zero(x)}
-        # a stored row is zero at every other pivot, so one pass suffices
-        for pc in [c for c in out if c in self.rows]:
-            self._subtract(out, out.pop(pc), self.rows[pc], pc)
+        # a row has entries only right of its pivot, so clearing the
+        # leftmost pivot entry first clears each one for good
+        while pivots := [c for c in out if c in rows]:
+            pc = min(pivots)
+            self._subtract(out, out.pop(pc), rows[pc], pc)
         return out
 
     def _subtract(self, target: dict, factor, row: dict, skip: int) -> None:
@@ -128,23 +127,23 @@ class SpanBasis:
         if vec[pc] != field.of(1):
             inv = field.div(field.of(1), vec[pc])
             vec = {c: field.mul(x, inv) for c, x in vec.items()}
-        holders = self._holders
-        for r in holders.pop(pc, ()):
-            row = self.rows[r]
-            self._subtract(row, row.pop(pc), vec, pc)
-            for c in vec:
-                if c in row:
-                    holders[c].add(r)
-                elif c != pc:
-                    holders[c].discard(r)
-        for c in vec:
-            if c != pc:
-                holders[c].add(pc)
         self.rows[pc] = vec
         return True
 
     def contains(self, vec: _Vector) -> bool:
         return not self._reduce(vec)
+
+    def reduced(self) -> dict[int, dict]:
+        """``rows``, brought in place to the unique RREF of the span: from
+        the last pivot leftwards, each row clears its entries at later
+        pivots, whose rows are already reduced, so one pass per row
+        suffices."""
+        rows = self.rows
+        for pc in sorted(rows, reverse=True):
+            row = rows[pc]
+            for c in [c for c in row if c in rows and c != pc]:
+                self._subtract(row, row.pop(c), rows[c], c)
+        return rows
 
     @property
     def dimension(self) -> int:
@@ -157,14 +156,15 @@ def nullspace(rows: list[_Vector], ncols: int, field) -> list[list]:
     span = SpanBasis(field)
     for row in rows:
         span.add(row)
+    rref = span.reduced()
     zero, one = field.of(0), field.of(1)
-    basis = []
+    basis: dict[int, list] = {}
     for fc in range(ncols):
-        if fc in span.rows:
-            continue
-        vec = [zero] * ncols
-        vec[fc] = one
-        for pc in span._holders.get(fc, ()):
-            vec[pc] = field.neg(span.rows[pc][fc])
-        basis.append(vec)
-    return basis
+        if fc not in rref:
+            basis[fc] = [zero] * ncols
+            basis[fc][fc] = one
+    for pc, row in rref.items():
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = field.neg(x)
+    return list(basis.values())

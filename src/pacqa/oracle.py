@@ -10,10 +10,11 @@ The basis frontier extends each canonical word by one arrow with the
 normal-form append rule, O(degree + arrows) per extension instead of a full
 normal form; the results stay in the spec's form memo, where the center's
 right products and the nilpotence powers read them.
-The self-check recomputes each small degree from the full path list alone:
+The self-check recomputes each small degree from the generators alone:
 every row ``p * generator * q`` is a unit or a signed binomial, so the raw
 quotient is a parity union-find over the paths (:class:`_SignedQuotient`),
-and each canonical word must name its own live class there.
+lifted from the degree below (:func:`_lift`); each canonical word must
+name its own live class there.
 """
 from __future__ import annotations
 
@@ -52,41 +53,29 @@ class TruncatedAlgebra:
         return tuple(len(b) for b in self.basis)
 
 
-def enumerate_paths(spec: IdealSpec, degree: int) -> list[tuple[int, ...]]:
-    """All paths of the given degree as index words, lexicographically."""
-    if degree == 0:
-        return []
-    after = context_for(spec).after
-    words = [(i,) for i in range(len(after))]
-    for _ in range(degree - 1):
-        words = [w + (j,) for w in words for j in after[w[-1]]]
-    return words
-
-
 @_per_ideal
 def _path_counts(spec: IdealSpec) -> SimpleNamespace:
-    """``totals``: degree -> number of paths; ``last``: ``(degree, paths
-    ending in each arrow)`` at the highest degree counted, set whole."""
-    return SimpleNamespace(totals={}, last=None)
+    """``affordable``: degree -> decision; ``last``: ``(degree, paths
+    ending in each arrow)``, saturated, at the highest degree, set whole."""
+    return SimpleNamespace(affordable={}, last=None)
 
 
-def count_paths(spec: IdealSpec, degree: int) -> int:
-    """The number of paths of the given degree, computed once per spec and
-    degree; a new degree extends the highest one counted."""
-    counts = _path_counts(spec)
-    if degree not in counts.totals:
-        if degree == 0:
-            counts.totals[degree] = len(spec.quiver.vertices)
-        else:
-            before = context_for(spec).before
-            d, ending = counts.last or (1, [1] * len(before))
-            counts.totals[d] = sum(ending)
-            while d < degree:
-                ending = [sum(ending[i] for i in into) for into in before]
-                d += 1
-                counts.totals[d] = sum(ending)
-            counts.last = (d, ending)
-    return counts.totals[degree]
+def _affordable(spec: IdealSpec, degree: int) -> bool:
+    """Whether a degree >= 1 has at most ``SELF_CHECK_PATH_CAP`` paths,
+    decided once per spec and degree by extending the highest one counted.
+    Counts saturate at the cap plus one: a count over the cap keeps every
+    count it feeds over it, so the decision is exact on small ints."""
+    counts, over = _path_counts(spec), SELF_CHECK_PATH_CAP + 1
+    if degree not in counts.affordable:
+        before = context_for(spec).before
+        d, ending = counts.last or (0, None)
+        while d < degree:
+            ending = [min(over, sum(ending[i] for i in into)) if d else 1
+                      for into in before]  # degree 1: one path per arrow
+            d += 1
+            counts.affordable[d] = sum(ending) < over
+        counts.last = (d, ending)
+    return counts.affordable[degree]
 
 
 class _SignedQuotient:
@@ -105,12 +94,11 @@ class _SignedQuotient:
     vector lies in the span iff its signed sum on every live one is zero.
     """
 
-    def __init__(self, size: int, field):
+    def __init__(self, size: int, field, forest=None):
         self.field = field
-        self._parent = list(range(size))
-        self._odd = [0] * size  # parity of the sign to the parent
-        self._size = [1] * size  # at a root: the component's size
-        self._dead = [False] * size  # at a root: the component is zero
+        # parent, parity to it, and at a root: size, and whether it is zero
+        self._parent, self._odd, self._size, self._dead = forest or (
+            list(range(size)), [0] * size, [1] * size, [False] * size)
 
     def _find(self, c: int) -> tuple[int, int]:
         """``(root, parity)`` with ``x_c = (-1)^parity x_root``; reads only,
@@ -146,56 +134,80 @@ class _SignedQuotient:
         return sum(p == c and not self._dead[c]
                    for c, p in enumerate(self._parent))
 
-    def contains(self, vec: dict[int, object]) -> bool:
-        field = self.field
-        sums: dict[int, object] = {}
-        for c, x in vec.items():
-            root, parity = self._find(c)
-            if not self._dead[root]:
-                acc = sums.get(root, field.of(0))
-                sums[root] = field.sub(acc, x) if parity else field.add(acc, x)
-        return all(field.is_zero(s) for s in sums.values())
-
 
 @_per_ideal
-def _raw_spans(spec: IdealSpec) -> dict[int, tuple[dict, _SignedQuotient]]:
-    """Degree -> (column of each path, quotient of the degree slice)."""
-    return {}
+def _raw_levels(spec: IdealSpec) -> dict[int, tuple]:
+    """Degree d -> ``(first, last, quotient)``, filled from degree 1 up.
+    Columns are paths in lexicographic order of index words: column c is a
+    column p below followed by the arrow ``last[c]``, and p's children fill
+    the block from ``first[p]`` in ``after`` order; at degree 1, arrows."""
+    n = len(context_for(spec).after)
+    return {1: ([], list(range(n)),
+                _SignedQuotient(n, field_for(spec.field_char)))}
 
 
-def _raw_span(spec: IdealSpec, degree: int
-              ) -> tuple[dict, _SignedQuotient]:
-    """The raw quotient of one degree slice, built once per spec and degree
-    in one pass over the paths, from the generators alone: the rows of all
-    ``p * generator * q`` kill each path holding a monomial generator and
-    join each path to its swap across a related pair.  It enters the memo
-    only when complete, so a reader in another thread never sees a partial
-    one (two threads may both build it)."""
-    spans = _raw_spans(spec)
-    if degree not in spans:
-        ctx = context_for(spec)
-        kills = {(ctx.index[a], ctx.index[b]) for a, b in spec.monomials}
-        swaps = {(ctx.index[a], ctx.index[b]) for a, b in spec.relations}
-        odd = ctx.eps < 0
-        paths = enumerate_paths(spec, degree)
-        col = {w: i for i, w in enumerate(paths)}
-        quotient = _SignedQuotient(len(paths), field_for(spec.field_char))
-        for c, w in enumerate(paths):
-            pairs = list(zip(w, w[1:]))
-            if not kills.isdisjoint(pairs):
-                quotient.kill(c)
-            if not swaps.isdisjoint(pairs):
-                for k, pair in enumerate(pairs):
-                    if pair in swaps:  # one orientation: each edge once
-                        swapped = w[:k] + pair[::-1] + w[k + 2:]
-                        quotient.join(c, col[swapped], odd)
-        spans[degree] = (col, quotient)
-    return spans[degree]
+def _lift(spec: IdealSpec, low: tuple, degree: int) -> tuple:
+    """The level of ``degree`` from the level below (``low``), in one pass:
+    every row ``p * g * q`` of degree d with q nonempty is a row of degree
+    d - 1 times q's last arrow, so the ideal's slice is ``I_{d-1} * arrows
+    + L_d``, where the rows of ``L_d`` hold g in the last two places.  Right
+    multiplication by an arrow b maps columns one-to-one, and a component
+    shares its end vertex, so all of it or none of it extends by b.  So it
+    carries low's forest over: child ``p*b`` hangs under ``parent(p)*b``
+    with p's parity, and a root's children inherit its size and deadness.
+    That forest spans ``I_{d-1} * arrows`` exactly (tree rows times b, and
+    ``x_{r*b}`` for each dead root r); the union-find adds ``L_d`` exactly.
+    """
+    ctx = context_for(spec)
+    after, (_, low_last, low_q) = ctx.after, low
+    first, prefix, last = [], [], []
+    ends: list[list[int]] = [[] for _ in after]  # arrow -> low columns
+    for p, a in enumerate(low_last):
+        first.append(len(last))
+        prefix += [p] * len(after[a])
+        last += after[a]
+        ends[a].append(p)
+    parent = [first[low_q._parent[p]] + c - first[p]
+              for c, p in enumerate(prefix)]
+    quotient = _SignedQuotient(len(last), low_q.field, (parent, *(
+        [lows[p] for p in prefix]
+        for lows in (low_q._odd, low_q._size, low_q._dead))))
+    for a, b in spec.monomials:
+        u, v = ctx.index[a], ctx.index[b]
+        for p in ends[u]:
+            quotient.kill(first[p] + after[u].index(v))
+    for a, b in spec.relations:
+        u, v = ctx.index[a], ctx.index[b]
+        # u, v are loops at one vertex, so x*v sits ``shift`` columns from
+        # x*u below, whatever x is: at degree 1 the columns are the arrows
+        shift = v - u if degree == 2 else (
+            after[u].index(v) - after[u].index(u))
+        for p in ends[u]:
+            quotient.join(first[p] + after[u].index(v),
+                          first[p + shift] + after[v].index(u), ctx.eps < 0)
+    return first, last, quotient
 
 
-def _raw_dimension(spec: IdealSpec, degree: int) -> int:
-    """Quotient dimension at one degree, from the raw quotient."""
-    return _raw_span(spec, degree)[1].dimension
+def _raw_span(spec: IdealSpec, degree: int) -> _SignedQuotient:
+    """The raw quotient of one degree slice, from the generators alone,
+    lifted level by level (:func:`_lift`).  A level enters the memo only
+    when complete and never changes after, so a reader in another thread
+    never sees a partial one (two threads may both build it)."""
+    levels = _raw_levels(spec)
+    for d in range(len(levels) + 1, degree + 1):  # 1..len(levels) are there
+        levels[d] = _lift(spec, levels[d - 1], d)
+    return levels[degree][2]
+
+
+def _raw_column(spec: IdealSpec, word: tuple[int, ...]) -> int | None:
+    """The column of an index word of a degree :func:`_raw_span` built, by
+    an O(degree) walk over the child offsets; None for a non-path."""
+    c, levels, after = word[0], _raw_levels(spec), context_for(spec).after
+    for d, (a, b) in enumerate(zip(word, word[1:]), 2):
+        if b not in after[a]:
+            return None
+        c = levels[d][0][c] + after[a].index(b)
+    return c
 
 
 def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
@@ -207,9 +219,9 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
     prefix of a surviving word survives, so this reaches every class.  Each
     word carries its trace state and grows by the append rule
     (:func:`normalform._extend`), which also fills the form memo that the
-    center's right products read.  When the raw path count at a degree is
-    small enough, the raw quotient checks the words class by class: as
-    many as its dimension, each in a different nonzero class.
+    center's right products read.  When a degree has at most
+    ``SELF_CHECK_PATH_CAP`` paths, the raw quotient checks the words class
+    by class: as many as its dimension, each in a different nonzero class.
     """
     ctx = context_for(spec)
     basis: list[tuple[Word, ...]] = [tuple(spec.quiver.vertices)]
@@ -225,14 +237,15 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
             raise BudgetError(
                 f"quotient basis exceeds the budget of {budget} words at "
                 f"degree {d}")
-        if self_check and count_paths(spec, d) <= SELF_CHECK_PATH_CAP:
-            raw = _raw_dimension(spec, d)
+        if self_check and _affordable(spec, d):
+            quotient = _raw_span(spec, d)
+            raw = quotient.dimension
             if raw != len(words):
                 raise FalsificationError(
                     f"degree {d}: class-based dimension {len(words)} "
                     f"disagrees with raw elimination {raw}")
-            col, quotient = _raw_span(spec, d)
-            classes = {quotient.live_class(col[w]) for w in words}
+            classes = {quotient.live_class(_raw_column(spec, w))
+                       for w in words}
             if None in classes or len(classes) != raw:
                 raise FalsificationError(
                     f"degree {d}: the canonical words do not fall in "
@@ -244,22 +257,18 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
 
 def raw_monomial_in_ideal(spec: IdealSpec, word: Word) -> bool:
     """Ideal membership read off the raw quotient, independent of the
-    normal forms; only for degrees where the full path list is
-    affordable."""
+    normal forms: the word's column lies in a zero class.  Only for degrees
+    of at most ``SELF_CHECK_PATH_CAP`` paths."""
     degree = len(word)
     if degree < 2:
         return False
-    if count_paths(spec, degree) > SELF_CHECK_PATH_CAP:
+    if not _affordable(spec, degree):
         raise BudgetError("path list too large for the raw membership route")
-    col, quotient = _raw_span(spec, degree)
-    target = context_for(spec).encode(word)
-    if target not in col:
+    quotient = _raw_span(spec, degree)
+    c = _raw_column(spec, context_for(spec).encode(word))
+    if c is None:
         raise FalsificationError(f"{'*'.join(word)} is not a path")
-    return quotient.contains({col[target]: quotient.field.of(1)})
-
-
-def _multiset(word: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(word))
+    return quotient.live_class(c) is None
 
 
 def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
@@ -290,7 +299,7 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
                   if q.origin(w[0]) == q.target(w[-1])]
         blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
         for w in cycles:
-            blocks[_multiset(w)].append(w)
+            blocks[tuple(sorted(w))].append(w)  # the arrow multiset
         elements: list[CenterElement] = []
         for key in sorted(blocks):
             block = sorted(blocks[key])

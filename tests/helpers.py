@@ -7,8 +7,8 @@ from importlib import resources
 from pacqa.dsl import SpecDocument, parse_spec
 from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec,
                          validate_ideal)
-from pacqa.oracle import count_paths
 from pacqa.quiver import build_quiver
+from raw_rows_reference import count_paths
 
 FIXTURES = (
     "comm_two_loops_arrow",
@@ -74,6 +74,34 @@ def random_instance(rng: random.Random) -> IdealSpec:
     if not arrows:
         arrows = [("l0", "x", "x")]
     quiver = build_quiver(vertices, arrows)
+    flavor, monomials, relations = _random_generators(rng, quiver)
+    char = 2 if rng.random() < 0.05 else 0
+    return validate_ideal(quiver, flavor, monomials, relations, char)
+
+
+def random_multi_vertex_instance(rng: random.Random) -> IdealSpec:
+    """A random valid ideal over 2-5 vertices: an oriented cycle through two
+    or more of them, up to three more arrows (chords or parallel copies),
+    up to three loops on the cycle's vertices, declared in shuffled order;
+    both flavors, characteristics 0, 2, 3 and 5."""
+    vertices = [f"v{i}" for i in range(rng.randint(2, 5))]
+    cycle = rng.sample(vertices, rng.randint(2, len(vertices)))
+    ends = list(zip(cycle, cycle[1:] + cycle[:1]))
+    for _ in range(rng.randint(0, 3)):
+        ends.append(rng.choice(ends) if rng.random() < 0.5
+                    else tuple(rng.sample(vertices, 2)))
+    ends += [(v, v) for v in rng.choices(cycle, k=rng.randint(0, 3))]
+    rng.shuffle(ends)
+    quiver = build_quiver(vertices, [(f"a{i}", s, t)
+                                     for i, (s, t) in enumerate(ends)])
+    flavor, monomials, relations = _random_generators(rng, quiver)
+    return validate_ideal(quiver, flavor, monomials, relations,
+                          rng.choice([0, 0, 2, 3, 5]))
+
+
+def _random_generators(rng: random.Random, quiver):
+    """(flavor, monomials, relations) drawn over the composable pairs of
+    ``quiver``: relations only between distinct loops at one vertex."""
     flavor = rng.choice([COMMUTATIVE, ANTICOMMUTATIVE])
     profile = rng.choice(["dense", "dense", "sparse", "squares"])
     p_mono = {"dense": 0.45, "sparse": 0.12, "squares": 0.5}[profile]
@@ -110,9 +138,7 @@ def random_instance(rng: random.Random) -> IdealSpec:
             else:
                 if rng.random() < p_mono:
                     monomials.add((a, b))
-    char = 2 if rng.random() < 0.05 else 0
-    return validate_ideal(quiver, flavor, sorted(monomials),
-                          sorted(relations), char)
+    return flavor, sorted(monomials), sorted(relations)
 
 
 def random_surviving_word(rng: random.Random, spec: IdealSpec,
@@ -144,12 +170,17 @@ def random_surviving_word(rng: random.Random, spec: IdealSpec,
 DIFFERENTIAL_PATH_CAP = 4_096
 
 
-def differential_cases(seed: int, instances: int):
-    """(rng, spec, degree) over the fixtures and random instances, for every
-    degree slice within the cap."""
+def differential_cases(seed: int, instances: int, multi_vertex: int = 0):
+    """(rng, spec, degree) over the fixtures, random instances and then
+    ``multi_vertex`` multi-vertex instances (drawn from a stream of their
+    own, so the other cases stay as they were), for every degree slice
+    within the cap."""
     rng = random.Random(seed)
     specs = [fixture_ideal(name) for name in FIXTURES]
     specs += [random_instance(rng) for _ in range(instances)]
+    wide = random.Random(f"multi-vertex-{seed}")
+    specs += [random_multi_vertex_instance(wide)
+              for _ in range(multi_vertex)]
     for spec in specs:
         for degree in range(2, 7):
             if count_paths(spec, degree) <= DIFFERENTIAL_PATH_CAP:

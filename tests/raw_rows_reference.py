@@ -1,19 +1,54 @@
-"""Reference for the oracle's raw quotient: the generator rows the raw
-self-check fed to generic elimination before it became a signed
-union-find.
+"""Reference for the oracle's raw quotient: the full path list, exact path
+counts, and the generator rows the raw self-check fed to generic
+elimination before it became a signed union-find.
 
 One ``{column: coefficient}`` row of at most two entries per product
 ``p * generator * q`` over the full path list, where a path holding several
 monomial generators gets its unit row once.  Fed through
 :class:`pacqa.linalg.SpanBasis`, the rows span the ideal's degree slice;
-the differential tests compare that span with the quotient.  Kept only for
-those tests; nothing in the package imports it.
+the differential tests compare that span with the quotient, whose columns
+follow :func:`enumerate_paths`.  Kept only for those tests; nothing in the
+package imports it.
 """
 from __future__ import annotations
 
 from pacqa.ideal import IdealSpec
 from pacqa.normalform import context_for
-from pacqa.oracle import enumerate_paths
+
+
+def enumerate_paths(spec: IdealSpec, degree: int) -> list[tuple[int, ...]]:
+    """All paths of the given degree as index words, lexicographically."""
+    if degree == 0:
+        return []
+    after = context_for(spec).after
+    words = [(i,) for i in range(len(after))]
+    for _ in range(degree - 1):
+        words = [w + (j,) for w in words for j in after[w[-1]]]
+    return words
+
+
+def quotient_contains(quotient, vec: dict[int, object]) -> bool:
+    """Membership in the span of a raw quotient's rows: the signed sum of
+    ``vec`` on every live class is zero (see ``_SignedQuotient``)."""
+    field = quotient.field
+    sums: dict[int, object] = {}
+    for c, x in vec.items():
+        root, parity = quotient._find(c)
+        if not quotient._dead[root]:
+            acc = sums.get(root, field.of(0))
+            sums[root] = field.sub(acc, x) if parity else field.add(acc, x)
+    return all(field.is_zero(s) for s in sums.values())
+
+
+def count_paths(spec: IdealSpec, degree: int) -> int:
+    """The exact number of paths of the given degree, by successor walks."""
+    if degree == 0:
+        return len(spec.quiver.vertices)
+    before = context_for(spec).before
+    ending = [1] * len(before)
+    for _ in range(degree - 1):
+        ending = [sum(ending[i] for i in into) for into in before]
+    return sum(ending)
 
 
 def generator_rows(spec: IdealSpec, degree: int, field

@@ -20,8 +20,9 @@ from pacqa.graphs import is_admissible
 from pacqa.ideal import COMMUTATIVE, composable_pairs, is_square_free, orthogonal
 from pacqa.koszul import HH_FG, HH_INF, hochschild_fg
 from pacqa.normalform import monomial_in_ideal
-from pacqa.oracle import (count_paths, oracle_center_upto, oracle_fg_evidence,
+from pacqa.oracle import (oracle_center_upto, oracle_fg_evidence,
                           oracle_nilpotence_check, quotient_basis_upto)
+from raw_rows_reference import count_paths
 
 OP = "°"
 

@@ -32,9 +32,10 @@ def _sparse(field, row):
 
 
 def _dense_rows(span, ncols, field):
-    """The stored RREF rows of the sparse engine, densified, by pivot."""
-    return [[span.rows[pc].get(c, field.of(0)) for c in range(ncols)]
-            for pc in sorted(span.rows)]
+    """The sparse engine's reduced rows (its RREF), densified, by pivot."""
+    rref = span.reduced()
+    return [[rref[pc].get(c, field.of(0)) for c in range(ncols)]
+            for pc in sorted(rref)]
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,8 +16,9 @@ from pacqa.normalform import (CLASS_MEMBER_CAP, _extend, _frontier_start,
                               _trace, canonical_form, canonical_index_form,
                               context_for, equivalence_class,
                               monomial_in_ideal)
-from pacqa.oracle import (SELF_CHECK_PATH_CAP, count_paths,
-                          quotient_basis_upto, raw_monomial_in_ideal)
+from pacqa.oracle import (SELF_CHECK_PATH_CAP, quotient_basis_upto,
+                          raw_monomial_in_ideal)
+from raw_rows_reference import count_paths, enumerate_paths, quotient_contains
 
 
 def w(text: str) -> tuple[str, ...]:
@@ -152,7 +153,6 @@ class TestBinomialMembership:
             if count_paths(spec, 3) > 300:
                 continue
             from pacqa.normalform import context_for
-            from pacqa.oracle import enumerate_paths
             ctx = context_for(spec)
             survivors = [ctx.decode(p) for p in enumerate_paths(spec, 3)
                          if not monomial_in_ideal(spec, ctx.decode(p))]
@@ -177,17 +177,17 @@ def _raw_contains(spec, terms) -> bool:
     terms of one degree, read from the oracle's shared per-degree raw
     quotient, at any path count."""
     from pacqa.normalform import context_for
-    from pacqa.oracle import _raw_span
+    from pacqa.oracle import _raw_column, _raw_span
 
     ctx = context_for(spec)
     degree, = {len(word) for _, word in terms}
-    col, span = _raw_span(spec, degree)
+    span = _raw_span(spec, degree)
     vec: dict[int, object] = {}
     for coeff, word in terms:
-        c = col[ctx.encode(word)]
+        c = _raw_column(spec, ctx.encode(word))
         vec[c] = span.field.add(vec.get(c, span.field.of(0)),
                                 span.field.of(coeff))
-    return span.contains(vec)
+    return quotient_contains(span, vec)
 
 
 def _binomial_in_ideal(spec, b, c) -> bool:
@@ -225,11 +225,10 @@ class TestSquareReduction:
 class TestTwoRouteAgreement:
     def test_normal_form_matches_raw_span(self):
         from pacqa.normalform import context_for
-        from pacqa.oracle import enumerate_paths
 
         agreements = 0
         largest = 0
-        for rng, spec, degree in differential_cases(90, 100):
+        for rng, spec, degree in differential_cases(90, 100, 100):
             ctx = context_for(spec)
             paths = enumerate_paths(spec, degree)
             largest = max(largest, len(paths))
@@ -246,12 +245,13 @@ class TestTwoRouteAgreement:
         assert largest > 4_000  # degree 6 on four loops: 4,096 paths
 
     def test_raw_dimension_matches_class_dimension(self):
-        from pacqa.oracle import _raw_dimension
+        from pacqa.oracle import _raw_span
 
         compared = 0
-        for _, spec, degree in differential_cases(4242, 100):
+        for _, spec, degree in differential_cases(4242, 100, 100):
             algebra = quotient_basis_upto(spec, degree, self_check=False)
-            assert _raw_dimension(spec, degree) == algebra.dimensions[degree]
+            assert (_raw_span(spec, degree).dimension
+                    == algebra.dimensions[degree])
             compared += 1
         assert compared >= 300
 

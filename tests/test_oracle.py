@@ -2,20 +2,24 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (FIXTURES, build, differential_cases, fixture_ideal,
-                     fixture_path, two_loop_polynomial)
+                     fixture_path, random_multi_vertex_instance,
+                     two_loop_polynomial)
 from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
 from pacqa.koszul import dual_ideal
 from pacqa.linalg import SpanBasis, field_for
-from pacqa.oracle import (count_paths, enumerate_paths, oracle_center_upto,
+from pacqa.oracle import (SELF_CHECK_PATH_CAP, oracle_center_upto,
                           oracle_fg_evidence, oracle_nilpotence_check,
                           quotient_basis_upto)
-from raw_rows_reference import generator_rows
+from raw_rows_reference import (count_paths, enumerate_paths, generator_rows,
+                                quotient_contains)
 
 
 def degree_words(basis):
@@ -68,7 +72,7 @@ class TestQuotientBasis:
             return grown
 
         monkeypatch.setattr(oracle, "_extend", swapped)
-        assert oracle._raw_dimension(spec, 2) == 2
+        assert oracle._raw_span(spec, 2).dimension == 2
         with pytest.raises(FalsificationError, match="raw classes"):
             quotient_basis_upto(spec, 2)
         words = quotient_basis_upto(spec, 2, self_check=False).basis[2]
@@ -220,21 +224,21 @@ class TestRawSpanMemo:
     def test_oracle_check_builds_each_degree_once(self, monkeypatch):
         # oracle-check self-checks every affordable degree and then samples
         # words for the raw membership route; both read one quotient per
-        # degree, and each quotient build walks the degree's paths once
+        # degree, and each degree's level is lifted once from the one below
         from collections import Counter
 
         from pacqa import oracle
         from pacqa.cli import run
 
-        original = oracle.enumerate_paths
+        original = oracle._lift
         for name in FIXTURES:
             built: Counter = Counter()
 
-            def counting(spec, degree):
+            def counting(spec, low, degree):
                 built[degree] += 1
-                return original(spec, degree)
+                return original(spec, low, degree)
 
-            monkeypatch.setattr(oracle, "enumerate_paths", counting)
+            monkeypatch.setattr(oracle, "_lift", counting)
             assert run(["oracle-check", fixture_path(name),
                         "--max-degree", "6"]) == 0
             assert built, name
@@ -251,16 +255,66 @@ class TestRawSpanMemo:
         spec = build(["x"], [(a, "x", "x") for a in "abce"], ANTICOMMUTATIVE,
                      relations=[("a", "b"), ("a", "e"), ("b", "c"),
                                 ("c", "e")])
-        col, quotient = _raw_span(spec, 6)
-        before = (list(quotient._parent), list(quotient._odd))
-        for c in range(len(col)):
+        quotient = _raw_span(spec, 6)
+        parent, odd = quotient._parent, quotient._odd
+        deep = [c for c in range(len(parent))
+                if parent[parent[c]] != parent[c]]
+        assert deep and any(odd[c] for c in deep)
+        assert any(parent[parent[parent[c]]] != parent[parent[c]]
+                   for c in deep)
+        before = (list(parent), list(odd))
+        for c in range(len(parent)):
             quotient.live_class(c)
-            assert not quotient.contains({c: 1})
+            assert not quotient_contains(quotient, {c: 1})
         assert (quotient._parent, quotient._odd) == before
+
+    def test_concurrent_first_use_gives_equal_results(self):
+        # eight threads race to build the same spec's levels from nothing;
+        # a level is published only when complete, so each thread reads a
+        # whole quotient: the dimension, the zero classes and the partition
+        # of a fresh single-threaded build
+        from pacqa.oracle import _raw_span
+
+        def digest(spec):
+            quotient = _raw_span(spec, 7)
+            named = {}  # root -> its class's first column
+            classes = [named.setdefault(quotient.live_class(c), c)
+                       for c in range(len(quotient._parent))]
+            return quotient.dimension, classes
+
+        def make():
+            return build(["x", "y"], [("a", "x", "x"), ("b", "x", "x"),
+                                      ("c", "x", "x"), ("d", "x", "x"),
+                                      ("u", "x", "y")],
+                         ANTICOMMUTATIVE, monomials=[("a", "a"), ("c", "u")],
+                         relations=[("a", "b"), ("b", "c"), ("c", "d")],
+                         char=3)
+
+        expected = digest(make())
+        spec = make()
+        results = []
+        start = threading.Barrier(8, timeout=60)
+
+        def work():
+            start.wait()
+            results.append(digest(spec))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 8
 
 
 class TestGeneratorRows:
-    # _raw_dimension at degrees 2..6, recorded before duplicate unit rows
+    # raw dimensions at degrees 2..6, recorded before duplicate unit rows
     # were dropped
     RAW_DIMENSIONS = {
         "comm_two_loops_arrow": [2, 0, 0, 0, 0],
@@ -281,11 +335,11 @@ class TestGeneratorRows:
                 assert len(keys) == len(rows), (name, degree)
 
     def test_raw_dimension_unchanged(self):
-        from pacqa.oracle import _raw_dimension
+        from pacqa.oracle import _raw_span
 
         for name in FIXTURES:
             spec = fixture_ideal(name)
-            dims = [_raw_dimension(spec, d) for d in range(2, 7)]
+            dims = [_raw_span(spec, d).dimension for d in range(2, 7)]
             assert dims == self.RAW_DIMENSIONS[name], name
             algebra = quotient_basis_upto(spec, 6, self_check=False)
             assert dims == list(algebra.dimensions[2:]), name
@@ -294,18 +348,19 @@ class TestGeneratorRows:
         # the generator rows through generic elimination span the same
         # slice as the signed quotient: equal dimension, and equal
         # membership of every unit vector, of binomials and of sparse
-        # vectors with random coefficients
-        from pacqa.oracle import _raw_span
+        # vectors with random coefficients, on columns walked to
+        from pacqa.oracle import _raw_column, _raw_span
 
         compared = members = 0
-        for rng, spec, degree in differential_cases(5150, 60):
+        for rng, spec, degree in differential_cases(5150, 60, 60):
             field = field_for(spec.field_char)
             col, rows = generator_rows(spec, degree, field)
             span = SpanBasis(field)
             for row in sorted(rows, key=len):  # units first: fewer updates
                 span.add(row)
-            raw_col, quotient = _raw_span(spec, degree)
-            assert raw_col == col
+            quotient = _raw_span(spec, degree)
+            assert len(quotient._parent) == len(col)
+            assert all(_raw_column(spec, w) == c for w, c in col.items())
             assert quotient.dimension == len(col) - span.dimension
             paths = list(col)
             vectors = [{c: field.of(1)} for c in range(len(paths))]
@@ -326,7 +381,8 @@ class TestGeneratorRows:
                                 for c in picked})
             for vec in vectors:
                 member = span.contains(vec)
-                assert quotient.contains(vec) == member, (spec, degree, vec)
+                assert quotient_contains(quotient, vec) == member, \
+                    (spec, degree, vec)
                 members += member
                 compared += 1
         assert members >= 50_000 and compared - members >= 20_000, \
@@ -364,13 +420,18 @@ class TestSignedQuotient:
         vectors += data.draw(st.lists(st.dictionaries(
             column, st.integers(-3, 3).map(field.of)), max_size=4))
         for vec in vectors:
-            assert quotient.contains(vec) == span.contains(vec), vec
+            assert quotient_contains(quotient, vec) == span.contains(vec), \
+                vec
 
 
 class TestPathCounts:
     def test_successor_walks_match_brute_force(self):
         # random quivers on a few vertices plus an isolated one, so parallel
-        # arrows, loops, sources and sinks all occur across the batch
+        # arrows, loops, sources and sinks all occur across the batch; the
+        # reference list and count, the lifted levels' column walk and the
+        # saturated cap decision all follow the brute-force path list
+        from pacqa.oracle import _affordable, _raw_column, _raw_span
+
         rng = random.Random(11)
         inner = ["v0", "v1", "v2"]
         seen = set()
@@ -395,24 +456,67 @@ class TestPathCounts:
                                 for i, j in zip(w, w[1:]))]
                 assert enumerate_paths(spec, d) == brute, (arrows, d)
                 assert count_paths(spec, d) == len(brute), (arrows, d)
+                assert len(_raw_span(spec, d)._parent) == len(brute)
+                for c, w in enumerate(brute):
+                    assert _raw_column(spec, w) == c, (arrows, w)
+                for w in itertools.product(range(len(arrows)), repeat=d):
+                    if w not in brute:
+                        assert _raw_column(spec, w) is None, (arrows, w)
+                assert _affordable(spec, d) == (
+                    len(brute) <= SELF_CHECK_PATH_CAP), (arrows, d)
         assert seen == {"parallel", "loop", "source", "sink"}
 
     def test_counts_are_computed_once_per_degree(self, monkeypatch):
         from pacqa import oracle
 
         spec = fixture_ideal("comm_four_loops_arrow_out")
-        first = [count_paths(spec, d) for d in range(6)]
+        first = [oracle._affordable(spec, d) for d in range(1, 7)]
         # the second pass reads the memo: with the successor tables out of
         # reach, a recount would raise
         monkeypatch.setattr(oracle, "context_for", None)
-        assert [count_paths(spec, d) for d in range(6)] == first
-        assert first == [2, 5, 20, 80, 320, 1280]
+        assert [oracle._affordable(spec, d) for d in range(1, 7)] == first
+        # 5, 20, 80, 320, 1,280 and 5,120 paths against a cap of 320
+        assert first == [True] * 4 + [False] * 2
 
-    def test_deep_counts_extend_the_last_degree(self):
-        # four loops and an arrow out: 5 * 4^(d-1) paths of degree d >= 1;
-        # degree 3,000 extends degree 6 and costs one vector step each
-        spec = fixture_ideal("comm_four_loops_arrow_out")
-        assert count_paths(spec, 6) == 5 * 4**5
-        assert count_paths(spec, 3000) == 5 * 4**2999
-        assert count_paths(spec, 7) == 5 * 4**6
-        assert count_paths(spec, 3001) == 5 * 4**3000
+    def test_saturated_decisions_match_exact_counts(self):
+        # a count over the cap may feed counts under it again: 20 * 20
+        # paths x0 -> x2 die at a sink while one path a -> e runs on, so
+        # degree 2 is over the cap and degree 3 under it; the saturated
+        # decision equals the exact one at every degree, asked in any order
+        from pacqa.oracle import _affordable
+
+        arrows = [(f"p{i}", "x0", "x1") for i in range(20)]
+        arrows += [(f"q{i}", "x1", "x2") for i in range(20)]
+        arrows += [("r", "a", "b"), ("s", "b", "c"), ("t", "c", "e")]
+        specs = [build(["x0", "x1", "x2", "a", "b", "c", "e"], arrows),
+                 fixture_ideal("comm_four_loops_arrow_out")]
+        rng = random.Random(12)
+        specs += [random_multi_vertex_instance(rng) for _ in range(40)]
+        for spec in specs:
+            degrees = list(range(1, 13))
+            rng.shuffle(degrees)
+            for d in degrees:
+                assert _affordable(spec, d) == (
+                    count_paths(spec, d) <= SELF_CHECK_PATH_CAP), d
+        assert [_affordable(specs[0], d) for d in (1, 2, 3, 4)] == \
+            [True, False, True, True]
+
+    def test_deep_counts_extend_the_last_degree(self, monkeypatch):
+        # four loops give 4^d paths at degree d; the gate must decide degree
+        # 5,000 on counts saturated at the cap plus one, never on exact
+        # totals, so any sum in the module past a million raises here
+        from pacqa import oracle
+
+        def small_sum(values, start=0):
+            total = sum(values, start)
+            if total > 10**6:
+                raise AssertionError(f"exact path count {total:.3e}")
+            return total
+
+        monkeypatch.setattr(oracle, "sum", small_sum, raising=False)
+        spec = fixture_ideal("anti_four_loops_full")
+        algebra = quotient_basis_upto(spec, 5000)
+        assert algebra.self_checked == (1, 2, 3, 4)
+        assert algebra.dimensions[:5] == (1, 4, 5, 2, 0)
+        d, ending = oracle._path_counts(spec).last
+        assert d == 5000 and max(ending) == SELF_CHECK_PATH_CAP + 1
