@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial, reduce
+from heapq import merge
 from operator import or_
 from typing import Iterator, Sequence
 
@@ -23,7 +24,7 @@ from .errors import FalsificationError, HypothesisError, IdealError
 from .graphs import fold_cliques, is_admissible
 from .ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec, _per_ideal,
                     is_square_free, orthogonal)
-from .normalform import canonical_form, monomial_in_ideal
+from .normalform import canonical_form
 from .quiver import Path, multi_vertex_cycles
 
 Word = tuple[str, ...]
@@ -97,10 +98,30 @@ class CenterBasis:
             (d, els) for d, els in self.by_degree if d % 2 == 0))
 
 
+def _generator_pairs(spec: IdealSpec, cycle: Word) -> list[int]:
+    """The positions ``i`` of a simple multi-vertex cycle whose cyclic pair
+    ``cycle[i]*cycle[i + 1]`` (the last letter wrapping to the first) is a
+    monomial generator.  They decide every rotation of the cycle.
+
+    Relations join distinct loops at one vertex only, so none applies to a
+    word of non-loop arrows: its class is the word itself, and it lies in
+    the ideal iff two adjacent letters spell a monomial generator.  The
+    adjacent pairs of a rotation are the cyclic pairs except its wrap pair.
+    So a rotation survives iff every generator pair is its wrap pair: the
+    cycle has a surviving rotation iff at most one cyclic pair is a
+    generator, and then the rotation starting right after that pair (or the
+    cycle itself, if there is none) is the first survivor by shift.  Every
+    rotation survives, and the cycle is wrap-alive, iff none is.
+    """
+    return [i for i, pair in enumerate(zip(cycle, cycle[1:] + cycle[:1]))
+            if pair in spec.monomial_set]
+
+
 @_per_ideal
 def surviving_multi_vertex_cycle(spec: IdealSpec) -> Word | None:
     """A rotation of a simple multi-vertex cycle that survives modulo the
-    ideal, if one exists.
+    ideal, if one exists, read off the cycles' generator pairs
+    (:func:`_generator_pairs`).
 
     Such a surviving cycle word can carry central elements that are not
     products of loops (for the 2-cycle quiver with the zero ideal,
@@ -108,10 +129,10 @@ def surviving_multi_vertex_cycle(spec: IdealSpec) -> Word | None:
     quivers and defers to the oracle.
     """
     for cycle in multi_vertex_cycles(spec.quiver):
-        for shift in range(len(cycle)):
-            rotation = cycle[shift:] + cycle[:shift]
-            if not monomial_in_ideal(spec, rotation):
-                return rotation
+        dead = _generator_pairs(spec, cycle)
+        if len(dead) <= 1:
+            shift = dead[0] + 1 if dead else 0
+            return cycle[shift:] + cycle[:shift]
     return None
 
 
@@ -227,8 +248,10 @@ def loop_clique_statuses(spec: IdealSpec) -> tuple[CliqueStatus, ...]:
     """Status of every clique of loops in the relation graph, in
     deterministic (size, vertex list) order.  Relations join only co-based
     loops, and only arrows at a clique's vertex can fail to be annihilated,
-    so each vertex is scanned on its own, masks folded down the cliques."""
-    out = []
+    so each vertex is scanned on its own, masks folded down the cliques.
+    The scan yields a vertex's cliques of one size in lexicographic order,
+    so each size's runs, one per vertex, are merged rather than sorted."""
+    runs: dict[int, dict[str, list[CliqueStatus]]] = {}  # size -> vertex
     for v in spec.quiver.vertices:
         arrows, rows = _loop_masks(spec, v, spec.quiver.loops_at(v))
         adjacency = [~rows[k][3] if k in rows else 0
@@ -237,9 +260,11 @@ def loop_clique_statuses(spec: IdealSpec) -> tuple[CliqueStatus, ...]:
                 adjacency, sum(row[0] for row in rows.values()),
                 partial(_grow, rows), (0, 0, 0, 0)):
             clique = tuple(arrows[k] for k in members)
-            out.append(_status(arrows, v, clique, *state))
-    out.sort(key=lambda st: (len(st.clique), spec.quiver.word_key(st.clique)))
-    return tuple(out)
+            runs.setdefault(len(clique), {}).setdefault(v, []).append(
+                _status(arrows, v, clique, *state))
+    return tuple(st for size in sorted(runs) for st in merge(
+        *runs[size].values(),
+        key=lambda st: spec.quiver.word_key(st.clique)))
 
 
 @dataclass(frozen=True)

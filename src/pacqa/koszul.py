@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .center import DEFAULT_MAX_DEGREE, surviving_multi_vertex_cycle
+from .center import (DEFAULT_MAX_DEGREE, _generator_pairs,
+                     surviving_multi_vertex_cycle)
 from .errors import FalsificationError, HypothesisError
 from .fingen import (FINITELY_GENERATED, INFINITELY_GENERATED, TRIVIAL,
                      FinGenVerdict, loop_supported_verdict)
@@ -87,15 +88,11 @@ class HochschildVerdict:
 
 
 def _wrap_alive_cycle(spec: IdealSpec) -> tuple[str, ...] | None:
-    """A simple multi-vertex cycle all of whose cyclic adjacent pairs
-    survive, if any: its rotation sums are central and non-nilpotent, one
-    per power."""
-    for cycle in multi_vertex_cycles(spec.quiver):
-        pairs = [(cycle[i], cycle[(i + 1) % len(cycle)])
-                 for i in range(len(cycle))]
-        if all(p not in spec.monomial_set for p in pairs):
-            return cycle
-    return None
+    """A simple multi-vertex cycle none of whose cyclic pairs is a monomial
+    generator, if any: every rotation survives, and its rotation sums are
+    central and non-nilpotent, one per power."""
+    return next((cycle for cycle in multi_vertex_cycles(spec.quiver)
+                 if not _generator_pairs(spec, cycle)), None)
 
 
 def _cycle_supported_elements(spec: IdealSpec, max_degree: int):

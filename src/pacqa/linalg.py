@@ -4,16 +4,12 @@ A row space kept in row echelon form for span-membership queries, reduced
 once when a nullspace reads it: the oracle's centralizer blocks and its
 finite-generation evidence, whose rows have many terms (the raw self-check's
 rows have at most two, and it uses a signed union-find instead).  Rows are
-``{column: coefficient}`` dicts of nonzero entries (dense sequences are
-accepted too); entries stay exact (Fractions in characteristic 0, ints mod
-p otherwise).
+``{column: coefficient}`` dicts; entries stay exact (Fractions in
+characteristic 0, ints mod p otherwise).
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from fractions import Fraction
-
-_Vector = Mapping[int, object] | Sequence
 
 
 class Rationals:
@@ -92,13 +88,10 @@ class SpanBasis:
         self.field = field
         self.rows: dict[int, dict] = {}
 
-    def _reduce(self, vec: _Vector) -> dict:
+    def _reduce(self, vec: dict) -> dict:
         """The nonzero entries of ``vec`` minus its part in the span."""
         field, rows = self.field, self.rows
-        # plain dicts, the common case, skip the slower abc instance check
-        items = (vec.items() if type(vec) is dict or isinstance(vec, Mapping)
-                 else enumerate(vec))
-        out = {c: x for c, x in items if not field.is_zero(x)}
+        out = {c: x for c, x in vec.items() if not field.is_zero(x)}
         # a row has entries only right of its pivot, so clearing the
         # leftmost pivot entry first clears each one for good
         while pivots := [c for c in out if c in rows]:
@@ -117,7 +110,7 @@ class SpanBasis:
                 else:
                     target[c] = x
 
-    def add(self, vec: _Vector) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
         vec = self._reduce(vec)
         if not vec:
@@ -130,7 +123,7 @@ class SpanBasis:
         self.rows[pc] = vec
         return True
 
-    def contains(self, vec: _Vector) -> bool:
+    def contains(self, vec: dict) -> bool:
         return not self._reduce(vec)
 
     def reduced(self) -> dict[int, dict]:
@@ -150,7 +143,7 @@ class SpanBasis:
         return len(self.rows)
 
 
-def nullspace(rows: list[_Vector], ncols: int, field) -> list[list]:
+def nullspace(rows: list[dict], ncols: int, field) -> list[list]:
     """Basis of {x : M x = 0}, one vector per free column, in column order;
     each vector has a 1 in its free column (canonical)."""
     span = SpanBasis(field)

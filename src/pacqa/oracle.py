@@ -414,33 +414,30 @@ def oracle_fg_evidence(spec: IdealSpec, max_degree: int) -> FgEvidence:
         for d in range(1, max_degree + 1)
     }
 
-    def fcoeff(c):
-        return field.of(c) if isinstance(c, int) else c
-
     def to_vector(terms, degree):
         cols = basis_cols[degree]
-        return {cols[ctx.encode(word)]: fcoeff(coeff) for coeff, word in terms}
+        return {cols[word]: coeff for coeff, word in terms}
 
     def multiply(left_terms, right_terms):
         out: dict[tuple[int, ...], object] = {}
         for lc, lw in left_terms:
             for rc, rw in right_terms:
-                li, ri = ctx.encode(lw), ctx.encode(rw)
-                if ri[0] not in ctx.after[li[-1]]:
+                if rw[0] not in ctx.after[lw[-1]]:
                     continue
-                cf = canonical_index_form(ctx, li + ri)
+                cf = canonical_index_form(ctx, lw + rw)
                 if cf is None:
                     continue
                 sign, rep = cf
-                coeff = field.mul(field.mul(fcoeff(lc), fcoeff(rc)),
-                                  field.of(sign))
+                coeff = field.mul(field.mul(lc, rc), field.of(sign))
                 out[rep] = field.add(out.get(rep, field.of(0)), coeff)
-        return [(c, ctx.decode(rep)) for rep, c in sorted(out.items())
+        return [(c, rep) for rep, c in sorted(out.items())
                 if not field.is_zero(c)]
 
-    center_terms: dict[int, list] = {d: [] for d in range(1, max_degree + 1)}
-    for d, elements in center.by_degree:
-        center_terms[d] = [e.terms for e in elements]
+    # central elements as terms on index words; their coefficients are
+    # already field elements
+    center_terms = {d: [[(c, ctx.encode(w)) for c, w in e.terms]
+                        for e in center.degree_slice(d)]
+                    for d in range(1, max_degree + 1)}
 
     # subalgebra_slice[g]: elements spanning the degree-g part of the
     # subalgebra generated by all central elements of degree <= g

@@ -5,19 +5,20 @@ import random
 import pytest
 
 import clique_reference as reference
+import cycle_reference
 from helpers import (FIXTURES, build, fixture_ideal, random_instance,
-                     two_loop_polynomial)
+                     random_multi_vertex_instance, two_loop_polynomial)
 from pacqa.center import (Centrality, center_is_trivial_at,
                           central_monomials_upto, even_center_upto,
                           graded_center_upto, hypothesis_report,
                           is_central_monomial, loop_clique_statuses,
-                          surviving_multi_vertex_cycle)
+                          require_hypotheses, surviving_multi_vertex_cycle)
 from pacqa.errors import HypothesisError, PacqaError
 from pacqa.fingen import center_finitely_generated
 from pacqa.graphs import is_admissible, relation_graph
 from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec,
                          is_square_free, orthogonal, restrict, validate_ideal)
-from pacqa.koszul import dual_ideal
+from pacqa.koszul import _wrap_alive_cycle, dual_ideal
 from pacqa.quiver import build_quiver
 
 
@@ -308,6 +309,12 @@ class TestCliqueStatusAgainstReference:
                       for seed in range(500))
         assert decided >= 1_000
 
+    def test_multi_vertex_instances(self):
+        rng = random.Random("clique-statuses-multi-vertex")
+        decided = sum(self._compare(random_multi_vertex_instance(rng), rng)
+                      for _ in range(500))
+        assert decided >= 80, decided
+
     def test_chains(self):
         rng = random.Random(11)
         decided = blocked = 0
@@ -360,3 +367,45 @@ def test_center_and_fingen_build_no_relation_graph():
     assert not graphs(spec)
     relation_graph(spec)  # still built on request, for dot and the API
     assert graphs(spec)
+
+
+class TestCyclePairRuleAgainstReference:
+    """Surviving rotations and wrap-alive cycles read off the cycles'
+    monomial pairs, against the rotation-by-rotation normal-form search
+    (``tests/cycle_reference.py``)."""
+
+    def test_fixtures_random_instances_chains_and_duals(self):
+        specs = [fixture_ideal(name) for name in FIXTURES]
+        rng = random.Random("cycle-pairs")
+        specs += [random_instance(rng) for _ in range(400)]
+        specs += [_chain(rng, rng.randint(6, 12)) for _ in range(6)]
+        wide = random.Random("cycle-pairs-multi-vertex")
+        specs += [random_multi_vertex_instance(wide) for _ in range(600)]
+        specs += [dual_ideal(spec) for spec in specs
+                  if is_admissible(spec).admissible]
+        surviving = wrap_alive = single_rotation = 0
+        for spec in specs:
+            got = surviving_multi_vertex_cycle(spec)
+            assert got == cycle_reference.surviving_multi_vertex_cycle(spec)
+            alive = _wrap_alive_cycle(spec)
+            assert alive == cycle_reference.wrap_alive_cycle(spec)
+            surviving += got is not None
+            wrap_alive += alive is not None
+            single_rotation += got is not None and alive is None
+        assert len(specs) >= 1_200
+        assert surviving >= 600 and wrap_alive >= 300 \
+            and single_rotation >= 100, (surviving, wrap_alive,
+                                         single_rotation)
+
+    @pytest.mark.parametrize("decide", [
+        hypothesis_report, require_hypotheses, center_finitely_generated])
+    def test_gate_builds_no_normal_form_tables(self, decide):
+        # c*d is killed, so only the rotation d*c survives
+        spec = build(["x", "y"], [("c", "x", "y"), ("d", "y", "x")],
+                     monomials=[("c", "d")])
+        try:
+            decide(spec)
+        except HypothesisError as exc:
+            assert "(d*c)" in str(exc)
+        assert surviving_multi_vertex_cycle(spec) == ("d", "c")
+        assert not [key for key in spec.__dict__ if "context_for" in key]

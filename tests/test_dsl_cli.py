@@ -349,3 +349,67 @@ class TestCli:
                         "ideal anticommutative\nchar: 2\nanti: a*b\n")
         assert run(["center", "--graded", str(spec)]) == 1
         assert run(["center", str(spec)]) == 0
+
+
+TWO_LOOPS = "vertices: x\narrows: a: x->x, b: x->x\nideal commutative\n"
+
+
+class TestRefusalsAndRareLines:
+    """Exit code, stdout and stderr, byte for byte, of the DSL refusals and
+    of report lines that no fixture prints."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("vertices: x,\nideal commutative\n",
+         "line 1: empty list item"),
+        (TWO_LOOPS + "zero: a*-b\n", "line 4: bad word 'a*-b'"),
+        ("vertices: x\nvertices: y\nideal commutative\n",
+         "line 2: duplicate vertices line"),
+        (TWO_LOOPS + "ideal anticommutative\n",
+         "line 4: duplicate ideal line"),
+        ("vertices: x, 1y\nideal commutative\n",
+         "line 1: bad vertex name '1y'"),
+        ("vertices: x\nideal associative\n",
+         "line 2: expected 'ideal commutative' or 'ideal anticommutative'"),
+        (TWO_LOOPS + "char: two\n", "line 4: char must be 0 or a prime"),
+        (TWO_LOOPS + "comm: a*b*a\n",
+         "line 4: relation 'a*b*a' must name two arrows"),
+        (TWO_LOOPS + "koszul: maybe\n",
+         "line 4: only 'koszul: asserted' is recognized"),
+        ("arrows: a: x->x\nideal commutative\n", "missing vertices line"),
+        ("vertices: x\narrows: a: x->x\n", "missing ideal flavor line"),
+    ], ids=["empty-list-item", "bad-word", "duplicate-vertices",
+            "duplicate-ideal", "bad-vertex-name", "bad-flavor",
+            "non-numeric-char", "relation-not-two-arrows",
+            "koszul-not-asserted", "missing-vertices", "missing-flavor"])
+    def test_dsl_refusal(self, text, message, tmp_path, capsys):
+        spec = tmp_path / "bad.quiver"
+        spec.write_text(text)
+        assert run(["validate", str(spec)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, argv, out", [
+        (TWO_LOOPS + "zero: a*b, b*a\ncomm: a*b\n", ["validate"],
+         "note: relation a--b dropped: both a*b and b*a are monomial "
+         "generators\nquiver: 1 vertices, 2 arrows\n"
+         "flavor: commutative (char 0)\nmonomials: a*b, b*a\n"
+         "relations: (none)\nvalid\n"),
+        (TWO_LOOPS + "comm: a*b\n", ["fingen"],
+         "status: finitely-generated\ngenerators: a, b\nS(x) = {a, b}\n"),
+        ("vertices: x, y\narrows: c: x->x, d: x->x, e: x->y, f: x->y\n"
+         "ideal commutative\nzero: c*e, d*f\ncomm: c*d\n", ["fingen"],
+         "status: infinitely-generated\nwitness: clique {c,d} is central "
+         "but member c is not: outsider f blocks it (missing edge {c} -> "
+         "f)\nS(x) = {} with nontrivial center: not finitely generated\n"
+         "S(y): center trivial at y\n"),
+        (TWO_LOOPS + "zero: a*a, b*b\ncomm: a*b\n", ["hochschild"],
+         "undecided (koszulity unknown)\n"),
+        (TWO_LOOPS, ["center", "--max-degree", "3"],
+         "mode: theorem\ndegree 0: identity (1 component(s))\n"
+         "no central elements in degrees 1..3\n"),
+    ], ids=["relation-dropped-note", "fingen-generators", "fingen-empty-s",
+            "hochschild-undecided", "center-none"])
+    def test_rare_report_line(self, text, argv, out, tmp_path, capsys):
+        spec = tmp_path / "spec.quiver"
+        spec.write_text(text)
+        assert run([argv[0], str(spec), *argv[1:]]) == 0
+        assert capsys.readouterr() == (out, "")

@@ -7,7 +7,7 @@ import pytest
 
 import clique_reference as reference
 from helpers import (FIXTURES, build, fixture_ideal, random_instance,
-                     two_loop_polynomial)
+                     random_multi_vertex_instance, two_loop_polynomial)
 from pacqa.errors import HypothesisError, PacqaError
 from pacqa.fingen import (FINITELY_GENERATED, INFINITELY_GENERATED, TRIVIAL,
                           SCondition, center_finitely_generated,
@@ -181,6 +181,13 @@ class TestSConditionAgainstReference:
         seen = self._compare(random_instance(random.Random(seed))
                              for seed in range(2_000))
         assert seen["S"] >= 50 and seen["fail"] and seen["trivial"] >= 50
+
+    def test_multi_vertex_instances(self):
+        rng = random.Random("s-condition-multi-vertex")
+        seen = self._compare(random_multi_vertex_instance(rng)
+                             for _ in range(2_000))
+        # few of these fall inside the loop hypotheses; no vertex fails here
+        assert seen["S"] >= 20 and seen["trivial"] >= 1_000, seen
 
     @pytest.mark.parametrize("flavor", [COMMUTATIVE, ANTICOMMUTATIVE])
     def test_loop_families(self, flavor):

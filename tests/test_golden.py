@@ -1,19 +1,22 @@
-"""Golden stdout digests: every command on every fixture, text and JSON.
+"""Golden stdout digests: every command on every fixture and on seeded
+random specs, text and JSON.
 
 The digests pin the exact bytes each command prints at ``--max-degree 4``
 (or at the bound a variant sets itself), together with its exit code, so
 that refactors of the engines cannot change a verdict, a line of text or a
-byte of a JSON report unnoticed.  To add a variant, record its digest from
-a run of the unchanged code first.
+byte of a JSON report unnoticed.  To add a variant or a seed, record its
+digest from a run of the unchanged code first.
 """
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
-from helpers import FIXTURES, fixture_path
+from helpers import FIXTURES, fixture_path, random_instance
 from pacqa.cli import run
+from pacqa.dsl import SpecDocument, print_spec
 
 VARIANTS = (
     ("validate",),
@@ -386,3 +389,77 @@ def _check_golden(name, variant, capsys):
         key = " ".join((name, *variant, *json_flag))
         assert (code, hashlib.sha256(out.encode()).hexdigest()) \
             == GOLDEN[key], key
+
+
+# Seeded random specs: seed i draws one ``random_instance`` and its koszul
+# line from a stream of its own.  Each digest covers every variant, text
+# and JSON, as ``"<variant> <exit code>\n"`` followed by the stdout bytes.
+SEEDED_GOLDEN = (
+    "a7d2e8d527c3015d5806ae0c0f8955cff45eeede1164226491e1c8ff3e839544",
+    "0ec1bf123b9649a38a14b29269e7995dd691ce13cdfcb6a1d431b0568e088981",
+    "4d7a8e476faf416c79c621dd318d6b9de64d4f28da6f0429995f9df9d936755c",
+    "035b0a5208d28c37823ca1b4343afd98385b950524592c9e293d93be53ecb7a8",
+    "23db7faad980dabb56b4e66a9ff811c96e4ef21906d03c05427edbeaac5c4845",
+    "82c348e7c5b0517c7870a586eb7fc6dbc045dc088d8efecb0c766becb1a516ad",
+    "c9384f903611bd177845fbb24175c1a8ef3d8cd5339f8cbb5bd09622dd631eb0",
+    "db093c17370e32ddca763b5a51f0abe314fb78b68a32ff93a848c08f628e829f",
+    "b85c7a8245f6e51e49b75b64fa0d7adc8b2802c284c7ae7cbaf42e182c1f0d11",
+    "d8c05d1b0ba6572ba99c448b0122f0b7c9e7ede5adf8f01e08c9afd5c035d9f7",
+    "99b383bd89b15c39fd9446d87075da101103138d1fce070ece11c42d04d5bf47",
+    "4d938fa82a416fedf1888e73eb08d9a86edd70aa0576e22173ac7b0093de931b",
+    "762a1a1986d72423a940a9faa1740590ce1e86bd787de66942cc6fa8ab10b275",
+    "4d7a8e476faf416c79c621dd318d6b9de64d4f28da6f0429995f9df9d936755c",
+    "d471b20996c786bbe0c8d7aec629b18183c6cc9bf826dc7c8e6ecf9470cfac4a",
+    "692d8489f683a6917699c19a7dfe83dd2de167a79fe29c514579c06df7d306ff",
+    "4aecd79662c5115a283ad22921134c18560e1b2769ea54e6a8f836995af1ee0a",
+    "45c8cfb467462a38ba89c23ced057a12c9cae46cfe3697c466473d90d94903be",
+    "928c73ee6ed1c484f650a3b6234046b5716c2dd1e297c9686a261b30babad313",
+    "2b03e48e3f0b6fbef735aabc72b5ad5947781896d1af45a2bc30c1ab7e0628b5",
+    "e4c09a448f0c3bd6f1bb680a8671c5beba1b2ab4150e5ac7e6123a81cf2eafc0",
+    "1a5397f795eabcca1263f0fc7c955655f16e99ac34a91147f865bb7fe1637f9b",
+    "db093c17370e32ddca763b5a51f0abe314fb78b68a32ff93a848c08f628e829f",
+    "65102cb26928854ac99b8d8f769c1a88b448737cb79aaf208a733cc0f2d3275a",
+    "e23a4d89cf62080e6c4ffe4adbb3e2010292152a30fa3e89e5bb6a957247a255",
+    "3b2539a0f74146f04ea71d3dea5abbcfb083837f4f67fa2b8507d182372788cf",
+    "ca32fd48c5bc3ff93d3ad7b0025628a00a93ea33916070dc06f4755a8e2f9eb5",
+    "b8998b26856f4502018a0b8fd0fd7a4fd84a4c015ed36ed52ed325846049d236",
+    "e28caf39d3be3523403f133e5df64016eef0193c250c69fc3596af16123805b7",
+    "9589f9cb6ad92eb475d26300671b1f1c4b06d03eca6981fa86be55c8a590780b",
+    "679a9f0c7460f693ce4df40be12e4adac5ca538bc8eec53749ccccc8082d8e87",
+    "8bfa4b456f8a77ecfaaecb02fb892a60ad87494f1f2ef71652d36365ffe4f1d1",
+    "179d6aa622ead1779d750baa902e8912e45d84fd7ed69185c87edac3d07721e0",
+    "74e76b274ee3331f8a0a826f670f0a29899a4eb621e500ff19394536943c01a3",
+    "5044155368d43e0c8a9908fc3eb30940bec319834ecad5bf91f7922483ff96c1",
+    "a547fa4321847707eba0fec37f0d0149f1d7f60069056cd778ea2e83b6249605",
+    "c1c406ad10c2fce464e5d6b12ae0cec4cfe6b63d7ede6b975ca3ef466c1affe6",
+    "0a86fd5657d07536ede2c676df9c6e2aabede329f9ff50d3701b5841484eddfa",
+    "9f20265dba4b0d95b790983b181d26540b2a64ff7b0e9def12fddb16f9930462",
+    "2051a38c7ee554c479e3e9b8babfa5a602ac8abcecc354b217a6e0319fc50747",
+)
+
+
+def seeded_spec_text(seed: int) -> str:
+    rng = random.Random(f"golden-{seed}")
+    spec = random_instance(rng)
+    return print_spec(SpecDocument("", spec.quiver, spec,
+                                   rng.random() < 0.5, ()))
+
+
+def seeded_digest(path: str, capsys) -> str:
+    digest = hashlib.sha256()
+    for variant in VARIANTS:
+        for json_flag in ((), ("--json",)):
+            code = run([variant[0], path, "--max-degree", "4",
+                        *variant[1:], *json_flag])
+            digest.update(f"{' '.join((*variant, *json_flag))} {code}\n"
+                          .encode())
+            digest.update(capsys.readouterr().out.encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(len(SEEDED_GOLDEN)))
+def test_seeded_instance_matches_golden_digest(seed, tmp_path, capsys):
+    path = tmp_path / "seeded.quiver"
+    path.write_text(seeded_spec_text(seed), encoding="utf-8")
+    assert seeded_digest(str(path), capsys) == SEEDED_GOLDEN[seed], \
+        seeded_spec_text(seed)

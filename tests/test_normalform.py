@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from bfs_reference import BfsReference, ClassTooLarge
 from helpers import (FIXTURES, build, differential_cases, fixture_ideal,
-                     random_instance, random_surviving_word)
+                     random_instance, random_multi_vertex_instance,
+                     random_surviving_word)
 from pacqa.errors import BudgetError, IdealError
 from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
 from pacqa.normalform import (CLASS_MEMBER_CAP, _extend, _frontier_start,
@@ -365,6 +366,8 @@ class TestAppendRuleAgainstTrace:
         specs += [loop_family(rng, k, flavor) for k in range(4, 9)
                   for flavor in (COMMUTATIVE, ANTICOMMUTATIVE)
                   for _ in range(2)]
+        wide = random.Random("append-rule-multi-vertex")
+        specs += [random_multi_vertex_instance(wide) for _ in range(100)]
         extensions = zero = negative = moved = 0
         deepest = 0
         for spec in specs:
