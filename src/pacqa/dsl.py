@@ -94,6 +94,8 @@ def parse_spec(text: str) -> SpecDocument:
                 raise DslError("duplicate ideal line", lineno)
             flavor = word
         elif line.startswith("char:"):
+            if char_line:
+                raise DslError("duplicate char line", lineno)
             body = line[len("char:"):].strip()
             if not body.isdigit():
                 raise DslError("char must be 0 or a prime", lineno)

@@ -3,15 +3,17 @@
 Adjacent distinct arrows may swap exactly when the ideal relates them, and
 equal arrows never swap, so the class of a word is a trace: the members are
 the linearizations of its dependence order on occurrences (Cartier-Foata,
-LNM 85, 1969; Anisimov-Knuth, "Inhomogeneous sorting", 1979).  The word is
-zero iff some cover pair ``i < j`` of that order spells a monomial generator
-(monomial generators never join related arrows); its canonical word is the
-lexicographic normal form, built by taking the smallest letter among the
-minimal unplaced occurrences; its sign is ``eps`` to the number of
-inversions, well defined because equal arrows keep their order.  No class is
-enumerated; each spec's memo keeps one normal form per queried word.  The
-oracle's frontier extends canonical words by one letter with the append rule
-of :func:`_extend` instead, and writes its results into the same memo.
+LNM 85, 1969).  The word is zero iff some cover pair ``i < j`` of that
+order spells a monomial generator (monomial generators never join related
+arrows); its canonical word is the lexicographic normal form; its sign is
+``eps`` to the number of inversions, well defined because equal arrows keep
+their order.  One step answers all three: appending a letter to a canonical
+word with its trace state (the append rule of Anisimov-Knuth, "Inhomogeneous
+sorting", 1979; :func:`_place` and :func:`_insert`).  A queried word is
+folded through it letter by letter from the empty word, and the oracle's
+frontier extends canonical words by one letter with it.  No class is
+enumerated; each spec's memo keeps one normal form per queried word, and
+the frontier writes its results into the same memo.
 """
 from __future__ import annotations
 
@@ -72,106 +74,103 @@ def context_for(spec: IdealSpec) -> _Ctx:
     return _Ctx(spec)
 
 
-def _trace(ctx: _Ctx, word: tuple[int, ...]
-           ) -> tuple[bool, int, tuple[int, ...]]:
-    """``(zero, sign, canonical)`` of the class of ``word``, with
-    ``word == sign * canonical`` modulo the relations."""
-    indep, mono_before = ctx.indep, ctx.mono_before
-    at = [0] * len(ctx.names)  # arrow -> bitmask of its positions
-    pred = []   # position -> earlier positions it must stay after
-    below = []  # position -> all positions below it in the order
-    zero = False
-    for j, y in enumerate(word):
-        free = 0
-        for x in indep[y]:
-            free |= at[x]
-        p = ((1 << j) - 1) & ~free
-        pred.append(p)
-        under = 0
-        while p:  # the covers of j, right to left
-            i = p.bit_length() - 1
-            if mono_before[y] >> word[i] & 1:
-                zero = True
-            under |= below[i] | (1 << i)
-            p &= ~under
-        below.append(under)
-        at[y] |= 1 << j
-    letters = sorted(set(word))
-    left = (1 << len(word)) - 1  # unplaced positions
-    canonical = []
-    inversions = 0
-    while left:
-        for x in letters:
-            m = at[x] & left
-            if m:
-                j = (m & -m).bit_length() - 1  # x's first unplaced occurrence
-                if not pred[j] & left:
-                    break
-        bit = 1 << j
-        left ^= bit
-        inversions += (left & (bit - 1)).bit_count()
-        canonical.append(x)
-    return zero, ctx.eps ** (inversions & 1), tuple(canonical)
-
-
-# Canonical words with their trace state ``(below, at)``: ``below[i]`` is the
+# The trace state ``(below, at)`` of a canonical word: ``below[i]`` is the
 # bitmask of the positions under position ``i`` in the dependence order, and
-# ``at[x]`` the bitmask of the positions of arrow ``x``.
-Frontier = dict[tuple[int, ...], tuple[list[int], list[int]]]
+# ``at[x]`` that of the positions of arrow ``x``, for the arrows present.
+State = tuple[list[int], dict[int, int]]
+Frontier = dict[tuple[int, ...], State]
+
+
+def _place(ctx: _Ctx, word: Sequence[int], below: list[int],
+           at: dict[int, int], y: int) -> tuple[int, int] | None:
+    """Append ``y`` to the surviving canonical word ``word`` with state
+    ``(below, at)``: ``None`` when the product is zero, else ``(t, under)``,
+    the index where ``y`` enters the new canonical word and the positions
+    under it.
+
+    The new occurrence is maximal, and its predecessors are the positions
+    of letters not related to ``y``.  Its covers are the predecessors minus
+    everything below them, and ``word*y`` is zero iff a cover's letter ``x``
+    makes ``x*y`` a monomial generator.  Otherwise every letter past the
+    last predecessor commutes with ``y``, and the lexicographic normal form
+    puts ``y`` before the first of them greater than ``y``, at ``t`` (or at
+    the end, ``n``), after ``n - t`` transpositions.
+    """
+    n = len(word)
+    free = 0
+    for x in ctx.indep[y]:
+        free |= at.get(x, 0)
+    preds = ((1 << n) - 1) & ~free
+    p, under, mono = preds, 0, ctx.mono_before[y]
+    while p:  # the covers of the new occurrence, right to left
+        i = p.bit_length() - 1
+        if mono >> word[i] & 1:
+            return None
+        under |= below[i] | (1 << i)
+        p &= ~under
+    t = preds.bit_length()
+    while t < n and word[t] < y:
+        t += 1
+    return t, under
+
+
+def _insert(below: list[int], at: dict[int, int], t: int, under: int,
+            y: int) -> None:
+    """Turn the state in place into that of the word with ``y`` inserted at
+    index ``t`` (:func:`_place`): every mask gains a zero bit at ``t``,
+    which adding its bits from ``t`` up does."""
+    if t < len(below):  # at the end, no mask has a bit to move
+        high = -1 << t
+        for x, m in at.items():
+            at[x] = m + (m & high)
+        below[t:] = [m + (m & high) for m in below[t:]]
+    at[y] = at.get(y, 0) | 1 << t
+    below.insert(t, under)
+
+
+def _fold(ctx: _Ctx, word: tuple[int, ...]) -> IndexForm:
+    """The form of ``word``, appended letter by letter from the empty word."""
+    canonical: list[int] = []
+    below: list[int] = []
+    at: dict[int, int] = {}
+    inversions = 0
+    for y in word:
+        placed = _place(ctx, canonical, below, at, y)
+        if placed is None:
+            return None
+        t, under = placed
+        inversions += len(canonical) - t
+        canonical.insert(t, y)
+        _insert(below, at, t, under, y)
+    return ctx.eps ** (inversions & 1), tuple(canonical)
 
 
 def _frontier_start(ctx: _Ctx) -> Frontier:
     """The degree-1 words, each with its trace state."""
-    n = len(ctx.names)
-    return {(y,): ([0], [int(x == y) for x in range(n)]) for y in range(n)}
+    return {(y,): ([0], {y: 1}) for y in range(len(ctx.names))}
 
 
 def _extend(ctx: _Ctx, frontier: Frontier) -> Frontier:
     """The canonical words one letter longer than the surviving canonical
     words of ``frontier``, each with its trace state, by the append rule.
-
-    Appending ``y`` to ``w`` adds one maximal occurrence whose predecessors
-    are the positions of letters not related to ``y``.  Its covers are the
-    predecessors minus everything below them, and ``w*y`` is zero iff a
-    cover's letter ``x`` makes ``x*y`` a monomial generator (``w`` itself
-    survives).  Otherwise every letter past the last predecessor commutes
-    with ``y``, and the lexicographic normal form puts ``y`` before the
-    first of them greater than ``y``, at ``t`` (or at the end, ``n``), after
-    ``n - t`` transpositions.  The new state inserts a bit at ``t`` into
-    every mask.  This is O(|w| + #arrows) per extension instead of a full
-    :func:`_trace`.  Each result enters the form memo under ``w + (y,)``.
-    """
-    indep, mono_before, forms = ctx.indep, ctx.mono_before, ctx.forms
+    A state is copied only for a new canonical word.  Each result enters
+    the form memo under ``w + (y,)``."""
+    forms = ctx.forms
     grown: Frontier = {}
     for word, (below, at) in frontier.items():
         n = len(word)
         for y in ctx.after[word[-1]]:
-            free = 0
-            for x in indep[y]:
-                free |= at[x]
-            preds = ((1 << n) - 1) & ~free
-            p, under, mono = preds, 0, mono_before[y]
-            while p:  # the covers of the new occurrence, right to left
-                i = p.bit_length() - 1
-                if mono >> word[i] & 1:
-                    break
-                under |= below[i] | (1 << i)
-                p &= ~under
-            if p:
+            placed = _place(ctx, word, below, at, y)
+            if placed is None:
                 forms[word + (y,)] = None
                 continue
-            t = preds.bit_length()
-            while t < n and word[t] < y:
-                t += 1
+            t, under = placed
             canonical = word[:t] + (y,) + word[t:]
             forms[word + (y,)] = (ctx.eps ** ((n - t) & 1), canonical)
             if canonical not in grown:
-                low = (1 << t) - 1
-                moved = [m & low | (m & ~low) << 1 for m in at]
-                moved[y] |= 1 << t
-                grown[canonical] = (
-                    below[:t] + [under]
-                    + [m & low | (m & ~low) << 1 for m in below[t:]], moved)
+                state = below.copy(), dict(at)
+                _insert(*state, t, under, y)
+                grown[canonical] = state
     return grown
 
 
@@ -179,8 +178,7 @@ def _form(ctx: _Ctx, word: tuple[int, ...]) -> IndexForm:
     try:
         return ctx.forms[word]
     except KeyError:
-        zero, sign, canonical = _trace(ctx, word)
-        form = ctx.forms[word] = None if zero else (sign, canonical)
+        form = ctx.forms[word] = _fold(ctx, word)
         return form
 
 
@@ -215,10 +213,10 @@ class SignedClass:
 def equivalence_class(spec: IdealSpec, m: Path | Sequence[str]) -> SignedClass:
     """List the class of ``m`` by allowed adjacent transpositions.
 
-    The representative is the canonical word, each member's sign is its
-    inversion parity against it, and ``zero`` is set when the class lies in
-    the ideal.  The class is built afresh on each call; nothing is cached.
-    Past :data:`CLASS_MEMBER_CAP` members it raises :class:`BudgetError`.
+    The representative is the least member, the canonical word; a member's
+    sign is ``eps`` to the parity of its swaps away from it; ``zero`` is set
+    when the class lies in the ideal.  Built afresh on each call, past
+    :data:`CLASS_MEMBER_CAP` members it raises :class:`BudgetError`.
     """
     word = _as_word(spec, m)
     if not word:
@@ -226,21 +224,22 @@ def equivalence_class(spec: IdealSpec, m: Path | Sequence[str]) -> SignedClass:
                          "degree >= 1")
     ctx = context_for(spec)
     start = ctx.encode(word)
-    seen = {start}
+    odd = {start: 0}  # member -> parity of its swaps away from ``start``
     queue = [start]
     while queue:
         w = queue.pop()
         for i in range(len(w) - 1):
             if w[i + 1] in ctx.indep[w[i]]:
                 v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                if v not in seen:
-                    seen.add(v)
+                if v not in odd:
+                    odd[v] = odd[w] ^ 1
                     queue.append(v)
-        if len(seen) > CLASS_MEMBER_CAP:
+        if len(odd) > CLASS_MEMBER_CAP:
             raise BudgetError(f"class of over {CLASS_MEMBER_CAP} members")
-    zero, _, canonical = _trace(ctx, start)
-    members = tuple((ctx.decode(v), _trace(ctx, v)[1]) for v in sorted(seen))
-    return SignedClass(ctx.decode(canonical), members, zero)
+    rep = min(odd)
+    members = tuple((ctx.decode(v), ctx.eps ** (odd[v] ^ odd[rep]))
+                    for v in sorted(odd))
+    return SignedClass(ctx.decode(rep), members, _fold(ctx, start) is None)
 
 
 def monomial_in_ideal(spec: IdealSpec, m: Path | Sequence[str]) -> bool:

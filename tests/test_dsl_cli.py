@@ -377,10 +377,12 @@ class TestRefusalsAndRareLines:
          "line 4: only 'koszul: asserted' is recognized"),
         ("arrows: a: x->x\nideal commutative\n", "missing vertices line"),
         ("vertices: x\narrows: a: x->x\n", "missing ideal flavor line"),
+        (TWO_LOOPS + "char: 5\nchar: 5\n", "line 5: duplicate char line"),
     ], ids=["empty-list-item", "bad-word", "duplicate-vertices",
             "duplicate-ideal", "bad-vertex-name", "bad-flavor",
             "non-numeric-char", "relation-not-two-arrows",
-            "koszul-not-asserted", "missing-vertices", "missing-flavor"])
+            "koszul-not-asserted", "missing-vertices", "missing-flavor",
+            "duplicate-char"])
     def test_dsl_refusal(self, text, message, tmp_path, capsys):
         spec = tmp_path / "bad.quiver"
         spec.write_text(text)

@@ -14,12 +14,13 @@ from helpers import (FIXTURES, build, differential_cases, fixture_ideal,
 from pacqa.errors import BudgetError, IdealError
 from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
 from pacqa.normalform import (CLASS_MEMBER_CAP, _extend, _frontier_start,
-                              _trace, canonical_form, canonical_index_form,
+                              canonical_form, canonical_index_form,
                               context_for, equivalence_class,
                               monomial_in_ideal)
 from pacqa.oracle import (SELF_CHECK_PATH_CAP, quotient_basis_upto,
                           raw_monomial_in_ideal)
 from raw_rows_reference import count_paths, enumerate_paths, quotient_contains
+from trace_reference import trace
 
 
 def w(text: str) -> tuple[str, ...]:
@@ -74,6 +75,33 @@ class TestEquivalenceClass:
                         sign, cls.representative)
                     checked += 1
         assert checked >= 1_000
+
+    def test_zero_class_signs_match_reference(self):
+        # the members and signs of every class, zero or not, against the
+        # breadth-first closure
+        rng = random.Random("zero-class-signs")
+        specs = [fixture_ideal(name) for name in FIXTURES]
+        specs += [random_instance(rng) for _ in range(120)]
+        specs += [random_multi_vertex_instance(rng) for _ in range(60)]
+        zero = negative = 0
+        for spec in specs:
+            ctx, ref = context_for(spec), BfsReference(spec, limit=500)
+            for _ in range(30):
+                word = random_index_word(rng, ctx, rng.randint(2, 7))
+                if word is None:
+                    continue
+                try:
+                    rep, signs, is_zero = ref.closure(word)
+                except ClassTooLarge:
+                    continue
+                cls = equivalence_class(spec, ctx.decode(word))
+                assert (cls.zero, cls.representative) == (
+                    is_zero, ctx.decode(rep)), (spec, ctx.decode(word))
+                assert cls.as_dict() == {ctx.decode(v): sign
+                                         for v, sign in signs.items()}
+                zero += is_zero
+                negative += is_zero and -1 in signs.values()
+        assert zero >= 2_500 and negative >= 150
 
 
 class TestClassBudget:
@@ -301,43 +329,65 @@ class TestTraceAgainstBfsReference:
         specs += [loop_family(rng, k, flavor) for k in range(4, 9)
                   for flavor in (COMMUTATIVE, ANTICOMMUTATIVE)
                   for _ in range(3)]
-        refs = [BfsReference(spec, limit=500) for spec in specs]
-        per_degree = [0] * 13
-        zero = negative = too_large = 0
-        for _ in range(12_000):
-            pick = rng.randrange(len(specs))
-            spec, ctx = specs[pick], context_for(specs[pick])
-            degree = rng.randint(1, 12)
-            word = random_index_word(rng, ctx, degree)
-            if word is None:
-                continue
-            try:
-                expected = refs[pick].form(word)
-            except ClassTooLarge:
-                too_large += 1
-                continue
-            assert canonical_index_form(ctx, word) == expected, \
-                (spec, ctx.decode(word))
-            assert monomial_in_ideal(spec, ctx.decode(word)) == (
-                expected is None)
-            per_degree[degree] += 1
-            zero += expected is None
-            negative += expected is not None and expected[0] == -1
+        per_degree, zero, negative, too_large = compare_random_words(
+            rng, specs, 12_000)
         assert sum(per_degree) >= 10_000
         assert min(per_degree[1:]) >= 500
         assert zero >= 2_000 and negative >= 200
         assert too_large <= 1_000
 
+    def test_multi_vertex_words(self):
+        rng = random.Random("trace-vs-bfs-multi-vertex")
+        specs = [random_multi_vertex_instance(rng) for _ in range(200)]
+        per_degree, zero, _, too_large = compare_random_words(
+            rng, specs, 12_000)
+        # few of these words repeat a related loop pair, so signs are
+        # almost all +1 here; the loop families above carry the signs
+        assert sum(per_degree) >= 10_000
+        assert min(per_degree[1:]) >= 800
+        assert zero >= 5_000 and sum(per_degree) - zero >= 3_000
+        assert too_large <= 100
+
+
+def compare_random_words(rng, specs, draws):
+    """Check ``draws`` random words of degree 1-12 over ``specs`` against
+    the breadth-first closure; return ``(words per degree, zero, negative,
+    classes too large for the reference)``."""
+    refs = [BfsReference(spec, limit=500) for spec in specs]
+    per_degree = [0] * 13
+    zero = negative = too_large = 0
+    for _ in range(draws):
+        pick = rng.randrange(len(specs))
+        spec, ctx = specs[pick], context_for(specs[pick])
+        degree = rng.randint(1, 12)
+        word = random_index_word(rng, ctx, degree)
+        if word is None:
+            continue
+        try:
+            expected = refs[pick].form(word)
+        except ClassTooLarge:
+            too_large += 1
+            continue
+        assert canonical_index_form(ctx, word) == expected, \
+            (spec, ctx.decode(word))
+        assert monomial_in_ideal(spec, ctx.decode(word)) == (
+            expected is None)
+        per_degree[degree] += 1
+        zero += expected is None
+        negative += expected is not None and expected[0] == -1
+    return per_degree, zero, negative, too_large
+
 
 def trace_state(ctx, word):
     """``(below, at)`` of ``word``, built position by position from scratch
-    as :func:`_trace` does."""
-    at = [0] * len(ctx.names)
+    as :func:`trace_reference.trace` does, with ``at`` over the arrows the
+    word contains only."""
+    at = {}
     below = []
     for j, y in enumerate(word):
         free = 0
         for x in ctx.indep[y]:
-            free |= at[x]
+            free |= at.get(x, 0)
         p = ((1 << j) - 1) & ~free
         under = 0
         while p:
@@ -345,7 +395,7 @@ def trace_state(ctx, word):
             under |= below[i] | (1 << i)
             p &= ~under
         below.append(under)
-        at[y] |= 1 << j
+        at[y] = at.get(y, 0) | 1 << j
     return below, at
 
 
@@ -355,9 +405,9 @@ APPEND_FRONTIER_CAP = 400
 
 class TestAppendRuleAgainstTrace:
     """Every frontier extension ``w + (y,)`` that the append rule writes
-    into the memo against a full :func:`_trace` of the same word (zero
-    flag, canonical word and sign), and every carried state against one
-    rebuilt from the canonical word, at degrees up to 10."""
+    into the memo against a full :func:`trace_reference.trace` of the same
+    word (zero flag, canonical word and sign), and every carried state
+    against one rebuilt from the canonical word, at degrees up to 10."""
 
     def test_every_frontier_extension(self):
         rng = random.Random(5150)
@@ -381,7 +431,7 @@ class TestAppendRuleAgainstTrace:
                 for word in frontier:
                     for y in ctx.after[word[-1]]:
                         key = word + (y,)
-                        is_zero, sign, canonical = _trace(ctx, key)
+                        is_zero, sign, canonical = trace(ctx, key)
                         assert ctx.forms[key] == (
                             None if is_zero else (sign, canonical)), \
                             (spec, ctx.decode(key))
