@@ -12,8 +12,7 @@ word with its trace state (the append rule of Anisimov-Knuth, "Inhomogeneous
 sorting", 1979; :func:`_place` and :func:`_insert`).  A queried word is
 folded through it letter by letter from the empty word, and the oracle's
 frontier extends canonical words by one letter with it.  No class is
-enumerated; each spec's memo keeps one normal form per queried word, and
-the frontier writes its results into the same memo.
+enumerated; each spec's memo keeps the forms of queried and frontier words.
 """
 from __future__ import annotations
 
@@ -117,15 +116,17 @@ def _place(ctx: _Ctx, word: Sequence[int], below: list[int],
 def _insert(below: list[int], at: dict[int, int], t: int, under: int,
             y: int) -> None:
     """Turn the state in place into that of the word with ``y`` inserted at
-    index ``t`` (:func:`_place`): every mask gains a zero bit at ``t``,
-    which adding its bits from ``t`` up does."""
-    if t < len(below):  # at the end, no mask has a bit to move
+    index ``t`` (:func:`_place`): a mask gains a zero bit at ``t`` by adding
+    its bits from ``t`` up; ``under`` and earlier positions have none."""
+    below.insert(t, under)
+    if t + 1 < len(below):  # at the end, no mask has a bit to move
         high = -1 << t
         for x, m in at.items():
             at[x] = m + (m & high)
-        below[t:] = [m + (m & high) for m in below[t:]]
+        for i in range(t + 1, len(below)):
+            m = below[i]
+            below[i] = m + (m & high)
     at[y] = at.get(y, 0) | 1 << t
-    below.insert(t, under)
 
 
 def _fold(ctx: _Ctx, word: tuple[int, ...]) -> IndexForm:
@@ -141,7 +142,8 @@ def _fold(ctx: _Ctx, word: tuple[int, ...]) -> IndexForm:
         t, under = placed
         inversions += len(canonical) - t
         canonical.insert(t, y)
-        _insert(below, at, t, under, y)
+        if len(canonical) < len(word):  # the last state is never read
+            _insert(below, at, t, under, y)
     return ctx.eps ** (inversions & 1), tuple(canonical)
 
 
@@ -168,9 +170,8 @@ def _extend(ctx: _Ctx, frontier: Frontier) -> Frontier:
             canonical = word[:t] + (y,) + word[t:]
             forms[word + (y,)] = (ctx.eps ** ((n - t) & 1), canonical)
             if canonical not in grown:
-                state = below.copy(), dict(at)
+                grown[canonical] = state = below.copy(), dict(at)
                 _insert(*state, t, under, y)
-                grown[canonical] = state
     return grown
 
 
