@@ -97,7 +97,8 @@ def parse_spec(text: str) -> SpecDocument:
             if char_line:
                 raise DslError("duplicate char line", lineno)
             body = line[len("char:"):].strip()
-            if not body.isdigit():
+            # [0-9]+ only: isdigit alone also takes "²" and "٣"
+            if not (body.isascii() and body.isdigit()):
                 raise DslError("char must be 0 or a prime", lineno)
             # a value with more digits than the bound is refused as the
             # bound, before int() could fail on a very long one

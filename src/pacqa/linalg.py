@@ -4,75 +4,30 @@ A row space kept in row echelon form for span-membership queries, reduced
 once when a nullspace reads it: the oracle's centralizer blocks and its
 finite-generation evidence, whose rows have many terms (the raw self-check's
 rows have at most two, and it uses a signed union-find instead).  Rows are
-``{column: coefficient}`` dicts; entries stay exact (Fractions in
-characteristic 0, ints mod p otherwise).
+``{column: coefficient}`` dicts.  One :class:`Field` type covers both
+cases: elements are Python numbers (Fractions in characteristic 0, ints in
+``[0, p)`` otherwise), combined with ``+``, ``-`` and ``*`` and brought back
+into the field by :meth:`Field.of`; zero is the only falsy element.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 
-class Rationals:
-    char = 0
+class Field:
+    """Q (``char`` 0) or GF(p) (``char`` p)."""
 
-    @staticmethod
-    def of(n: int) -> Fraction:
-        return Fraction(n)
+    def __init__(self, char: int):
+        self.char = char
 
-    @staticmethod
-    def add(a, b):
-        return a + b
+    def of(self, x):
+        """An int, or a sum, difference or product of elements, as an
+        element: ``Fraction(x)`` over Q, ``x % p`` over GF(p)."""
+        return x % self.char if self.char else Fraction(x)
 
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-
-class PrimeField:
-    def __init__(self, p: int):
-        self.char = p
-
-    def of(self, n: int) -> int:
-        return n % self.char
-
-    def add(self, a, b):
-        return (a + b) % self.char
-
-    def sub(self, a, b):
-        return (a - b) % self.char
-
-    def mul(self, a, b):
-        return (a * b) % self.char
-
-    def div(self, a, b):
-        return (a * pow(b, self.char - 2, self.char)) % self.char
-
-    def neg(self, a):
-        return (-a) % self.char
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-
-def field_for(char: int):
-    return Rationals() if char == 0 else PrimeField(char)
+    def inv(self, x):
+        """The inverse of a nonzero element."""
+        return pow(x, -1, self.char) if self.char else 1 / x
 
 
 class SpanBasis:
@@ -84,14 +39,14 @@ class SpanBasis:
     back-substitutes once, into the unique RREF of the span.
     """
 
-    def __init__(self, field):
+    def __init__(self, field: Field):
         self.field = field
         self.rows: dict[int, dict] = {}
 
     def _reduce(self, vec: dict) -> dict:
         """The nonzero entries of ``vec`` minus its part in the span."""
-        field, rows = self.field, self.rows
-        out = {c: x for c, x in vec.items() if not field.is_zero(x)}
+        rows = self.rows
+        out = {c: x for c, x in vec.items() if x}
         # a row has entries only right of its pivot, so clearing the
         # leftmost pivot entry first clears each one for good
         while pivots := [c for c in out if c in rows]:
@@ -101,14 +56,13 @@ class SpanBasis:
 
     def _subtract(self, target: dict, factor, row: dict, skip: int) -> None:
         """``target -= factor * row`` outside column ``skip``; zeros go."""
-        field = self.field
+        of = self.field.of
         for c, y in row.items():
             if c != skip:
-                x = field.sub(target.get(c, 0), field.mul(factor, y))
-                if field.is_zero(x):
-                    del target[c]
-                else:
+                if x := of(target.get(c, 0) - factor * y):
                     target[c] = x
+                else:
+                    del target[c]
 
     def add(self, vec: dict) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
@@ -117,9 +71,9 @@ class SpanBasis:
             return False
         field = self.field
         pc = min(vec)
-        if vec[pc] != field.of(1):
-            inv = field.div(field.of(1), vec[pc])
-            vec = {c: field.mul(x, inv) for c, x in vec.items()}
+        if vec[pc] != 1:
+            inv = field.inv(vec[pc])
+            vec = {c: field.of(x * inv) for c, x in vec.items()}
         self.rows[pc] = vec
         return True
 
@@ -143,7 +97,7 @@ class SpanBasis:
         return len(self.rows)
 
 
-def nullspace(rows: list[dict], ncols: int, field) -> list[list]:
+def nullspace(rows: list[dict], ncols: int, field: Field) -> list[list]:
     """Basis of {x : M x = 0}, one vector per free column, in column order;
     each vector has a 1 in its free column (canonical)."""
     span = SpanBasis(field)
@@ -159,5 +113,5 @@ def nullspace(rows: list[dict], ncols: int, field) -> list[list]:
     for pc, row in rref.items():
         for c, x in row.items():
             if c != pc:
-                basis[c][pc] = field.neg(x)
+                basis[c][pc] = field.of(-x)
     return list(basis.values())

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from .center import CenterBasis, CenterElement, surviving_multi_vertex_cycle
 from .errors import BudgetError, FalsificationError
 from .ideal import IdealSpec, _per_ideal, is_square_free
-from .linalg import SpanBasis, field_for, nullspace
+from .linalg import Field, SpanBasis, nullspace
 from .normalform import (_extend, _frontier_start, canonical_index_form,
                          context_for)
 
@@ -79,10 +79,11 @@ def _affordable(spec: IdealSpec, degree: int) -> bool:
 
 
 class _SignedQuotient:
-    """The quotient of the space on columns ``0..size-1`` by unit rows
-    ``x_c`` (:meth:`kill`) and binomial rows ``x_c - (-1)^odd x_d``
-    (:meth:`join`), as a parity union-find with union by size (Tarjan,
-    JACM 22, 1975) whose parities are bits, never field elements.
+    """The quotient, over a field of characteristic ``char``, of the space
+    on columns ``0..size-1`` by unit rows ``x_c`` (:meth:`kill`) and
+    binomial rows ``x_c - (-1)^odd x_d`` (:meth:`join`), as a parity
+    union-find with union by size (Tarjan, JACM 22, 1975) whose parities
+    are bits, never field elements.
 
     Exact: a spanning tree of a component K of the binomial graph, rooted
     at r, gives each c in K a sign s_c with ``x_c - s_c x_r`` in the span.
@@ -94,8 +95,8 @@ class _SignedQuotient:
     vector lies in the span iff its signed sum on every live one is zero.
     """
 
-    def __init__(self, size: int, field, forest=None):
-        self.field = field
+    def __init__(self, size: int, char: int, forest=None):
+        self.char = char
         # parent, parity to it, and at a root: size, and whether it is zero
         self._parent, self._odd, self._size, self._dead = forest or (
             list(range(size)), [0] * size, [1] * size, [False] * size)
@@ -115,7 +116,7 @@ class _SignedQuotient:
     def join(self, c: int, d: int, odd: int) -> None:
         (rc, pc), (rd, pd) = self._find(c), self._find(d)
         if rc == rd:
-            if pc ^ pd ^ odd and self.field.char != 2:  # x_c = -x_c
+            if pc ^ pd ^ odd and self.char != 2:  # x_c = -x_c
                 self._dead[rc] = True
             return
         if self._size[rc] < self._size[rd]:  # the tree depth stays log
@@ -143,7 +144,7 @@ def _raw_levels(spec: IdealSpec) -> dict[int, tuple]:
     the block from ``first[p]`` in ``after`` order; at degree 1, arrows."""
     n = len(context_for(spec).after)
     return {1: ([], list(range(n)),
-                _SignedQuotient(n, field_for(spec.field_char)))}
+                _SignedQuotient(n, spec.field_char))}
 
 
 def _lift(spec: IdealSpec, low: tuple, degree: int) -> tuple:
@@ -169,7 +170,7 @@ def _lift(spec: IdealSpec, low: tuple, degree: int) -> tuple:
         ends[a].append(p)
     parent = [first[low_q._parent[p]] + c - first[p]
               for c, p in enumerate(prefix)]
-    quotient = _SignedQuotient(len(last), low_q.field, (parent, *(
+    quotient = _SignedQuotient(len(last), low_q.char, (parent, *(
         [lows[p] for p in prefix]
         for lows in (low_q._odd, low_q._size, low_q._dead))))
     for a, b in spec.monomials:
@@ -287,7 +288,7 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
     if algebra.max_degree < max_degree + 1:
         raise BudgetError("algebra truncation too small for this degree")
     ctx = context_for(spec)
-    field = field_for(spec.field_char)
+    field = Field(spec.field_char)
     q = spec.quiver
     by_degree: list[tuple[int, tuple[CenterElement, ...]]] = []
     # centers are monomial when square-free AND loop-supported; a surviving
@@ -321,15 +322,13 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
                         row[col[w]] = row.get(col[w], 0) - sign
             matrix = []
             for _, sparse in sorted(sparse_rows.items()):
-                row = {j: field.of(v) for j, v in sparse.items()}
-                row = {j: x for j, x in row.items() if not field.is_zero(x)}
+                row = {j: x for j, v in sparse.items() if (x := field.of(v))}
                 if row:
                     matrix.append(row)
             for vec in nullspace(matrix, len(block), field):
                 terms = tuple(
                     (coeff, ctx.decode(block[j]))
-                    for j, coeff in enumerate(vec)
-                    if not field.is_zero(coeff))
+                    for j, coeff in enumerate(vec) if coeff)
                 if not terms:
                     continue
                 basepoints = {q.origin(w[0]) for _, w in terms}
@@ -407,7 +406,7 @@ def oracle_fg_evidence(spec: IdealSpec, max_degree: int) -> FgEvidence:
     algebra = quotient_basis_upto(spec, max_degree + 1)
     center = oracle_center_upto(spec, max_degree, algebra=algebra)
     ctx = context_for(spec)
-    field = field_for(spec.field_char)
+    field = Field(spec.field_char)
 
     basis_cols = {
         d: {ctx.encode(w): i for i, w in enumerate(algebra.basis[d])}
@@ -428,10 +427,8 @@ def oracle_fg_evidence(spec: IdealSpec, max_degree: int) -> FgEvidence:
                 if cf is None:
                     continue
                 sign, rep = cf
-                coeff = field.mul(field.mul(lc, rc), field.of(sign))
-                out[rep] = field.add(out.get(rep, field.of(0)), coeff)
-        return [(c, rep) for rep, c in sorted(out.items())
-                if not field.is_zero(c)]
+                out[rep] = field.of(out.get(rep, 0) + lc * rc * sign)
+        return [(c, rep) for rep, c in sorted(out.items()) if c]
 
     # central elements as terms on index words; their coefficients are
     # already field elements

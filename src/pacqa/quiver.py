@@ -96,6 +96,7 @@ class Quiver:
         for a in self.arrows:
             neighbours[a.origin].add(a.target)
             neighbours[a.target].add(a.origin)
+        order = {v: i for i, v in enumerate(self.vertices)}
         seen: set[str] = set()
         components = []
         for v in self.vertices:
@@ -110,7 +111,7 @@ class Quiver:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
-            components.append(tuple(sorted(comp, key=self.vertices.index)))
+            components.append(tuple(sorted(comp, key=order.__getitem__)))
         return tuple(components)
 
     def is_connected(self) -> bool:

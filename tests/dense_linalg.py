@@ -12,7 +12,7 @@ from typing import Sequence
 def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
     """In-place reduced row echelon form; returns (nonzero rows, pivot
     columns).  Deterministic: pivots scan columns left to right."""
-    rows = [row for row in rows if any(not field.is_zero(x) for x in row)]
+    rows = [row for row in rows if any(row)]
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -21,19 +21,20 @@ def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][c]):
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
-        if pv != field.of(1):
-            rows[r] = [field.div(x, pv) for x in rows[r]]
+        if pv != 1:
+            inv = field.inv(pv)
+            rows[r] = [field.of(x * inv) for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
+            if i != r and rows[i][c]:
                 factor = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(factor, y))
+                rows[i] = [field.of(x - factor * y)
                            for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
@@ -55,7 +56,7 @@ def nullspace(rows: list[list], ncols: int, field) -> list[list]:
         vec = [zero] * ncols
         vec[fc] = one
         for row, pc in zip(reduced, pivots):
-            vec[pc] = field.neg(row[fc])
+            vec[pc] = field.of(-row[fc])
         basis.append(vec)
     return basis
 
@@ -74,9 +75,8 @@ class SpanBasis:
         vec = list(vec)
         for row, pc in zip(self.rows, self.pivots):
             factor = vec[pc]
-            if not field.is_zero(factor):
-                vec = [field.sub(x, field.mul(factor, y))
-                       for x, y in zip(vec, row)]
+            if factor:
+                vec = [field.of(x - factor * y) for x, y in zip(vec, row)]
         return vec
 
     def add(self, vec: Sequence) -> bool:
@@ -84,14 +84,15 @@ class SpanBasis:
         field = self.field
         vec = self._reduce(vec)
         for c in range(self.ncols):
-            if not field.is_zero(vec[c]):
+            if vec[c]:
                 pv = vec[c]
-                if pv != field.of(1):
-                    vec = [field.div(x, pv) for x in vec]
+                if pv != 1:
+                    inv = field.inv(pv)
+                    vec = [field.of(x * inv) for x in vec]
                 for i, row in enumerate(self.rows):
                     factor = row[c]
-                    if not field.is_zero(factor):
-                        self.rows[i] = [field.sub(x, field.mul(factor, y))
+                    if factor:
+                        self.rows[i] = [field.of(x - factor * y)
                                         for x, y in zip(row, vec)]
                 at = 0
                 while at < len(self.pivots) and self.pivots[at] < c:
@@ -102,7 +103,7 @@ class SpanBasis:
         return False
 
     def contains(self, vec: Sequence) -> bool:
-        return all(self.field.is_zero(x) for x in self._reduce(vec))
+        return not any(self._reduce(vec))
 
     @property
     def dimension(self) -> int:

@@ -13,6 +13,7 @@ package imports it.
 from __future__ import annotations
 
 from pacqa.ideal import IdealSpec
+from pacqa.linalg import Field
 from pacqa.normalform import context_for
 
 
@@ -30,14 +31,13 @@ def enumerate_paths(spec: IdealSpec, degree: int) -> list[tuple[int, ...]]:
 def quotient_contains(quotient, vec: dict[int, object]) -> bool:
     """Membership in the span of a raw quotient's rows: the signed sum of
     ``vec`` on every live class is zero (see ``_SignedQuotient``)."""
-    field = quotient.field
+    field = Field(quotient.char)
     sums: dict[int, object] = {}
     for c, x in vec.items():
         root, parity = quotient._find(c)
         if not quotient._dead[root]:
-            acc = sums.get(root, field.of(0))
-            sums[root] = field.sub(acc, x) if parity else field.add(acc, x)
-    return all(field.is_zero(s) for s in sums.values())
+            sums[root] = field.of(sums.get(root, 0) + (-x if parity else x))
+    return not any(sums.values())
 
 
 def count_paths(spec: IdealSpec, degree: int) -> int:
@@ -57,7 +57,7 @@ def generator_rows(spec: IdealSpec, degree: int, field
     ctx = context_for(spec)
     col = {w: i for i, w in enumerate(enumerate_paths(spec, degree))}
     one = field.of(1)
-    minus_eps = field.neg(field.of(ctx.eps))
+    minus_eps = field.of(-ctx.eps)
     pairs = ([(ctx.index[a], ctx.index[b], False) for a, b in spec.monomials]
              + [(ctx.index[a], ctx.index[b], True) for a, b in spec.relations])
     # length -> the paths of that length, with the empty word at 0

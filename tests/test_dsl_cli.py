@@ -378,14 +378,17 @@ class TestRefusalsAndRareLines:
         ("arrows: a: x->x\nideal commutative\n", "missing vertices line"),
         ("vertices: x\narrows: a: x->x\n", "missing ideal flavor line"),
         (TWO_LOOPS + "char: 5\nchar: 5\n", "line 5: duplicate char line"),
+        (TWO_LOOPS + "char: \u00b2\n", "line 4: char must be 0 or a prime"),
+        (TWO_LOOPS + "char: \u0663\n", "line 4: char must be 0 or a prime"),
     ], ids=["empty-list-item", "bad-word", "duplicate-vertices",
             "duplicate-ideal", "bad-vertex-name", "bad-flavor",
             "non-numeric-char", "relation-not-two-arrows",
             "koszul-not-asserted", "missing-vertices", "missing-flavor",
-            "duplicate-char"])
+            "duplicate-char", "superscript-digit-char",
+            "arabic-indic-digit-char"])
     def test_dsl_refusal(self, text, message, tmp_path, capsys):
         spec = tmp_path / "bad.quiver"
-        spec.write_text(text)
+        spec.write_text(text, encoding="utf-8")
         assert run(["validate", str(spec)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 

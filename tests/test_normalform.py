@@ -205,17 +205,18 @@ def _raw_contains(spec, terms) -> bool:
     """Raw span membership of ``sum coeff * word`` over ``(coeff, word)``
     terms of one degree, read from the oracle's shared per-degree raw
     quotient, at any path count."""
+    from pacqa.linalg import Field
     from pacqa.normalform import context_for
     from pacqa.oracle import _raw_column, _raw_span
 
     ctx = context_for(spec)
     degree, = {len(word) for _, word in terms}
     span = _raw_span(spec, degree)
+    field = Field(span.char)
     vec: dict[int, object] = {}
     for coeff, word in terms:
         c = _raw_column(spec, ctx.encode(word))
-        vec[c] = span.field.add(vec.get(c, span.field.of(0)),
-                                span.field.of(coeff))
+        vec[c] = field.of(vec.get(c, 0) + coeff)
     return quotient_contains(span, vec)
 
 
