@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from heapq import merge
-from operator import or_
+from itertools import groupby
+from operator import itemgetter, or_
 from typing import Iterator, Sequence
 
 from .errors import FalsificationError, HypothesisError, IdealError
@@ -349,28 +350,13 @@ def _sorted_word(clique: Sequence[str], multiplicities: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def central_monomials_upto(spec: IdealSpec,
-                           max_degree: int = DEFAULT_MAX_DEGREE
-                           ) -> CenterBasis:
-    """All central canonical monomials of degree 1..max_degree, grouped by
-    degree and sorted by arrow order; complete for square-free ideals."""
-    require_hypotheses(spec)
+def _central_words(spec: IdealSpec, degrees: range
+                   ) -> Iterator[tuple[int, CenterElement]]:
+    """Each of ``degrees`` in turn: its central canonical monomials, sorted
+    by arrow order, each checked to survive as it is yielded."""
     statuses = loop_clique_statuses(spec)
-    q = spec.quiver
     anti = spec.flavor == ANTICOMMUTATIVE
-    notes: list[str] = []
-    if anti:
-        for st in statuses:
-            if st.central_ok and not st.kill_only and len(st.clique) % 2 == 1:
-                notes.append(
-                    "odd-degree-exclusion: odd-degree products over the "
-                    f"block {{{','.join(st.clique)}}} are not central "
-                    f"although even-degree ones are; outside arrow "
-                    f"{st.extender if st.extender else st.blocker} "
-                    "(anti-)commutes with the block instead of annihilating "
-                    "it, and odd degree requires two-sided annihilation")
-    by_degree: list[tuple[int, tuple[CenterElement, ...]]] = []
-    for d in range(1, max_degree + 1):
+    for d in degrees:
         words: list[tuple[Word, str]] = []
         # any multiplicities (commutative), even ones at even degree, odd
         # ones at odd degree over blocks that annihilate every outsider
@@ -379,24 +365,48 @@ def central_monomials_upto(spec: IdealSpec,
             if st.kill_only if anti and d % 2 else st.central_ok:
                 for mult in _compositions(d, len(st.clique), least, step):
                     words.append((_sorted_word(st.clique, mult), st.basepoint))
-        words.sort(key=lambda pair: q.word_key(pair[0]))
-        elements = []
+        words.sort(key=lambda pair: spec.quiver.word_key(pair[0]))
         for word, basepoint in words:
             if canonical_form(spec, word) is None:
                 raise FalsificationError(
                     f"claimed central monomial {'*'.join(word)} is zero in "
                     "the quotient")
-            elements.append(CenterElement(((1, word),), basepoint))
-        if elements:
-            by_degree.append((d, tuple(elements)))
+            yield d, CenterElement(((1, word),), basepoint)
+
+
+def _center_basis(spec: IdealSpec, max_degree: int, step: int
+                  ) -> CenterBasis:
+    """The central monomials of degrees step, 2*step, ... <= max_degree."""
+    require_hypotheses(spec)
+    notes: list[str] = []
+    if spec.flavor == ANTICOMMUTATIVE:
+        for st in loop_clique_statuses(spec):
+            if st.central_ok and not st.kill_only and len(st.clique) % 2 == 1:
+                notes.append(
+                    "odd-degree-exclusion: odd-degree products over the "
+                    f"block {{{','.join(st.clique)}}} are not central "
+                    f"although even-degree ones are; outside arrow "
+                    f"{st.extender if st.extender else st.blocker} "
+                    "(anti-)commutes with the block instead of annihilating "
+                    "it, and odd degree requires two-sided annihilation")
+    stream = _central_words(spec, range(step, max_degree + 1, step))
     return CenterBasis(
         flavor=spec.flavor,
         max_degree=max_degree,
         provenance="theorem",
-        by_degree=tuple(by_degree),
-        identity_components=len(q.connected_components),
+        by_degree=tuple((d, tuple(e for _, e in group))
+                        for d, group in groupby(stream, key=itemgetter(0))),
+        identity_components=len(spec.quiver.connected_components),
         notes=tuple(notes),
     )
+
+
+def central_monomials_upto(spec: IdealSpec,
+                           max_degree: int = DEFAULT_MAX_DEGREE
+                           ) -> CenterBasis:
+    """All central canonical monomials of degree 1..max_degree, grouped by
+    degree and sorted by arrow order; complete for square-free ideals."""
+    return _center_basis(spec, max_degree, 1)
 
 
 @dataclass(frozen=True)
@@ -438,8 +448,8 @@ def center_is_trivial_at(spec: IdealSpec, vertex: str) -> TrivialityResult:
 
 def even_center_upto(spec: IdealSpec,
                      max_degree: int = DEFAULT_MAX_DEGREE) -> CenterBasis:
-    """The even-degree slice of the center."""
-    return central_monomials_upto(spec, max_degree).even_slice()
+    """The even-degree slice of the center, built on even degrees only."""
+    return _center_basis(spec, max_degree, 2)
 
 
 def graded_center_upto(spec: IdealSpec,
@@ -449,9 +459,8 @@ def graded_center_upto(spec: IdealSpec,
     if spec.field_char == 2:
         raise HypothesisError(
             "the graded/even center identification needs characteristic != 2")
-    full = central_monomials_upto(spec, max_degree)
-    even = full.even_slice()
-    if even.by_degree == full.by_degree:
+    even = even_center_upto(spec, max_degree)
+    if next(_central_words(spec, range(1, max_degree + 1, 2)), None) is None:
         even = replace(even, notes=even.notes + (
             f"no odd-degree central monomials up to degree {max_degree}: "
             "the even-degree center equals the full center in this range",))

@@ -383,6 +383,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _int(text: str) -> int:
+    """``int()`` on ASCII digits and a sign only, not ``_`` or other digits."""
+    digits = text.lstrip("+-")  # int() refuses a second sign
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # the type name in argparse's usage error
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pacqa",
@@ -392,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("spec", help="path to a .quiver spec file")
     parser.add_argument("--json", action="store_true",
                         help="emit a byte-stable JSON report")
-    parser.add_argument("--max-degree", type=int, default=None,
+    parser.add_argument("--max-degree", type=_int, default=None,
                         help="degree bound for enumerations (default "
                              f"{DEFAULT_MAX_DEGREE} or PACQA_MAX_DEGREE)")
     parser.add_argument("--graph", choices=("gen", "gen-perp", "rel"),
@@ -412,7 +423,7 @@ def _max_degree(args) -> int:
         source = "PACQA_MAX_DEGREE"
         text = os.environ.get(source, str(DEFAULT_MAX_DEGREE))
         try:
-            value = int(text)
+            value = _int(text)
         except ValueError:
             raise InputError(
                 f"{source} must be an integer, got {text!r}") from None

@@ -84,7 +84,7 @@ def parse_spec(text: str) -> SpecDocument:
                         f"bad arrow {item!r}; expected name: origin->target",
                         lineno)
                 arrows.append(m.groups())
-        elif line.startswith("ideal"):
+        elif line.split(maxsplit=1)[0] == "ideal":
             word = line[len("ideal"):].strip()
             if word not in (COMMUTATIVE, ANTICOMMUTATIVE):
                 raise DslError(

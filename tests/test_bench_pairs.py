@@ -1,0 +1,97 @@
+"""The summary arithmetic of ``tools/bench_pairs.py`` on canned results."""
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = json.loads(
+    (TOOL.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8")
+)["end_to_end"]
+
+
+def result(attempted: int, **values: float | None) -> dict:
+    """One run's last line as ``perfbench/run.py`` prints it."""
+    return {"correct": True, "attempted": attempted, "failed": 0,
+            "metrics": {name: {"value": v, "unit": "u"}
+                        for name, v in values.items()}}
+
+
+def canned() -> list[tuple[dict, dict]]:
+    parent_tail = [15, 16, 17, 15, 16, 17, 15, 16, 17, 16]
+    change_tail = [11, 12, 11, 12, 11, 12, 11, 12, 11, 18]
+    return [(result(1_900 + i, latency_tail_ms=p, latency_p50_ms=10,
+                    ops_per_s=100, peak_rss_mb=30, ok_ratio=1.0),
+             result(2_000 + i, latency_tail_ms=c, latency_p50_ms=12.5,
+                    ops_per_s=74, peak_rss_mb=33.5, ok_ratio=1.0))
+            for i, (p, c) in enumerate(zip(parent_tail, change_tail))]
+
+
+def rows_by_name(pairs):
+    return {row["name"]: row
+            for row in bench_pairs.summarize(pairs, END_TO_END)}
+
+
+def test_quartiles_inclusive():
+    assert bench_pairs.quartiles(list(range(1, 11))) == (3.25, 5.5, 7.75)
+    assert bench_pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)
+
+
+def test_wins_spread_and_gain():
+    tail = rows_by_name(canned())["latency_tail_ms"]
+    assert tail["parent"] == (15.25, 16, 16.75)
+    assert tail["change"][1] == 11.5
+    # the tenth pair is lost; 16 - 11.5 exceeds the parent's spread of 1.5
+    assert (tail["wins"], tail["pairs"]) == (9, 10)
+    assert tail["gain"] and not tail["worse_than_bound"]
+
+
+def test_bounds_in_both_directions():
+    rows = rows_by_name(canned())
+    # 12.5 ms is exactly the 25% bound over 10 ms: not worse
+    assert not rows["latency_p50_ms"]["worse_than_bound"]
+    # 74/s is past the 25% bound under 100/s; 33.5 MB past 10% over 30 MB
+    assert rows["ops_per_s"]["worse_than_bound"]
+    assert rows["peak_rss_mb"]["worse_than_bound"]
+    # ties count for neither side and claim nothing
+    assert rows["ok_ratio"]["wins"] == 0 and not rows["ok_ratio"]["gain"]
+    # a metric the runs did not print has no row
+    assert "setup_s" not in rows
+
+
+def test_null_reads_as_infinite_and_loses_its_pair():
+    pairs = canned()
+    pairs[0][1]["metrics"]["latency_tail_ms"]["value"] = None
+    tail = rows_by_name(pairs)["latency_tail_ms"]
+    assert tail["wins"] == 8 and not tail["gain"]
+
+
+def test_render_prints_attempted_beside_peak_rss():
+    pairs = canned()
+    lines = bench_pairs.render(bench_pairs.summarize(pairs, END_TO_END),
+                               pairs).splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith("peak_rss_mb"))
+    assert lines[at + 1].split() == ["attempted", "1902/1904/1907",
+                                     "2002/2004/2007"]
+    assert lines[-1].startswith("pair 10 (change first) change: attempted "
+                                "2009, failed 0,")
+
+
+def test_run_once_reads_the_last_line_and_writes_no_bytecode(tmp_path):
+    script = ("import json, os, sys; print('op lines'); print(json.dumps("
+              "{'dont_write': os.environ.get('PYTHONDONTWRITEBYTECODE'), "
+              "'args': sys.argv[1:]}))")
+    got = bench_pairs.run_once(tmp_path, [sys.executable, "-c", script],
+                               ["--seed", "1"])
+    assert got == {"dont_write": "1", "args": ["--seed", "1"]}
+    with pytest.raises(SystemExit, match="benchmark failed"):
+        bench_pairs.run_once(tmp_path, [sys.executable, "-c", "exit(3)"], [])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -184,6 +185,44 @@ class TestEvenAndGradedCenter:
                      ANTICOMMUTATIVE, relations=[("a", "b")], char=2)
         with pytest.raises(HypothesisError):
             graded_center_upto(spec, 4)
+
+    def test_even_degree_builds_match_the_even_slice(self):
+        """Both slices build even degrees only.  They must equal the even
+        slice of the full basis, and the graded center carries its
+        no-odd-degree note iff that slice is the whole basis."""
+        rng = random.Random("even-slices")
+        wide = random.Random("even-slices-multi-vertex")
+        specs = [fixture_ideal(name) for name in FIXTURES]
+        specs += [random_instance(rng) for _ in range(1_500)]
+        specs += [random_multi_vertex_instance(wide) for _ in range(1_500)]
+        compared = noted = 0
+        for spec in specs:
+            for d in range(1, 7):
+                try:
+                    full = central_monomials_upto(spec, d)
+                except HypothesisError:
+                    with pytest.raises(HypothesisError):
+                        even_center_upto(spec, d)
+                    with pytest.raises(HypothesisError):
+                        graded_center_upto(spec, d)
+                    continue
+                even = full.even_slice()
+                assert even_center_upto(spec, d) == even
+                if spec.field_char == 2:
+                    with pytest.raises(HypothesisError):
+                        graded_center_upto(spec, d)
+                    continue
+                if even.by_degree == full.by_degree:
+                    even = replace(even, notes=even.notes + (
+                        f"no odd-degree central monomials up to degree {d}: "
+                        "the even-degree center equals the full center in "
+                        "this range",))
+                    noted += 1
+                assert graded_center_upto(spec, d) == even, (spec, d)
+                compared += 1
+        # both sides of the note, many times over
+        assert compared >= 2_500 and 1_000 <= noted <= compared - 1_000, (
+            compared, noted)
 
 
 def _chain(rng: random.Random, n: int) -> IdealSpec:

@@ -275,7 +275,10 @@ class TestCli:
         (["--max-degree", "-3"], None, "--max-degree must be at least 1"),
         ([], "four", "PACQA_MAX_DEGREE must be an integer"),
         ([], "0", "PACQA_MAX_DEGREE must be at least 1"),
-    ], ids=["flag-below-one", "env-not-an-integer", "env-below-one"])
+        ([], "1_0", "PACQA_MAX_DEGREE must be an integer, got '1_0'"),
+        ([], "\u0663", "PACQA_MAX_DEGREE must be an integer, got '\u0663'"),
+    ], ids=["flag-below-one", "env-not-an-integer", "env-below-one",
+            "env-underscore", "env-arabic-indic-digit"])
     def test_bad_degree_bound_rejected(self, flag, env, message, capsys,
                                        monkeypatch):
         if env is not None:
@@ -290,7 +293,12 @@ class TestCli:
         (["--max-degree", "abc"], "argument --max-degree: invalid int"),
         (["--graph", "nope"], "argument --graph: invalid choice"),
         (["--no-such-flag"], "unrecognized arguments: --no-such-flag"),
-    ], ids=["non-integer-bound", "bad-choice", "unknown-flag"])
+        (["--max-degree", "\u0663"],
+         "argument --max-degree: invalid int value: '\u0663'"),
+        (["--max-degree", "1_0"],
+         "argument --max-degree: invalid int value: '1_0'"),
+    ], ids=["non-integer-bound", "bad-choice", "unknown-flag",
+            "arabic-indic-digit-bound", "underscore-bound"])
     def test_usage_error_is_input_error(self, argv, message, capsys):
         # exit 2 is reserved for engine disagreement
         assert run(["validate", fixture_path("anti_two_loops_arrow"),
@@ -380,12 +388,14 @@ class TestRefusalsAndRareLines:
         (TWO_LOOPS + "char: 5\nchar: 5\n", "line 5: duplicate char line"),
         (TWO_LOOPS + "char: \u00b2\n", "line 4: char must be 0 or a prime"),
         (TWO_LOOPS + "char: \u0663\n", "line 4: char must be 0 or a prime"),
+        ("vertices: x\narrows: a: x->x\nidealcommutative\n",
+         "line 3: unrecognized line 'idealcommutative'"),
     ], ids=["empty-list-item", "bad-word", "duplicate-vertices",
             "duplicate-ideal", "bad-vertex-name", "bad-flavor",
             "non-numeric-char", "relation-not-two-arrows",
             "koszul-not-asserted", "missing-vertices", "missing-flavor",
             "duplicate-char", "superscript-digit-char",
-            "arabic-indic-digit-char"])
+            "arabic-indic-digit-char", "flavor-without-space"])
     def test_dsl_refusal(self, text, message, tmp_path, capsys):
         spec = tmp_path / "bad.quiver"
         spec.write_text(text, encoding="utf-8")

@@ -5,9 +5,10 @@ replacements over an alphabet of DSL punctuation, names, digits and line
 keywords, plus characters that look like them: a superscript two, an
 Arabic-Indic three, a fullwidth one, a byte-order mark and the opposite
 mark.  Each mutant is run in-process through :func:`pacqa.cli.run` under
-every command at ``--max-degree 3``, with the output streams captured: no
-exception may escape ``run``, and the exit code must be 0 (done), 1 (bad
-input or budget) or 2 (engines disagree).
+every command, and under ``center --graded`` as text and ``--json``, at
+``--max-degree 3``, with the output streams captured: no exception may
+escape ``run``, and the exit code must be 0 (done), 1 (bad input or
+budget) or 2 (engines disagree).
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ ALPHABET = (*"abcxyz01235 ,:*->\n", "\u00b2", "\u0663", "\uff11", "\ufeff",
             "\u00b0", "\nchar: ", "\nzero: ", "\ncomm: ", "\nanti: ",
             "\nideal ", "\nkoszul: asserted", "\nvertices: ", "\narrows: ")
 MUTANTS = 500
+RUNS = ([(command,) for command in COMMANDS]
+        + [("center", "--graded"), ("center", "--graded", "--json")])
 
 
 def _mutate(rng: random.Random, text: str) -> str:
@@ -47,8 +50,8 @@ def test_mutated_fixtures_end_with_a_defined_exit_code(tmp_path, capsys):
     for i in range(MUTANTS):
         text = _mutate(rng, fixture_text(FIXTURES[i % len(FIXTURES)]))
         spec.write_text(text, encoding="utf-8")
-        for command in COMMANDS:
-            argv = [command, str(spec), "--max-degree", "3"]
+        for command, *flags in RUNS:
+            argv = [command, str(spec), *flags, "--max-degree", "3"]
             try:
                 code = run(argv)
             except Exception as exc:  # an escape is the failure sought
