@@ -17,14 +17,15 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from heapq import merge
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby
 from operator import itemgetter, or_
 from typing import Iterator, Sequence
 
-from .errors import FalsificationError, HypothesisError, IdealError
+from .errors import (FalsificationError, HypothesisError, IdealError,
+                     InputError)
 from .graphs import fold_cliques, is_admissible
-from .ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec, _per_ideal,
-                    is_square_free, orthogonal)
+from .ideal import (ANTICOMMUTATIVE, IdealSpec, _per_ideal, is_square_free,
+                    orthogonal)
 from .normalform import canonical_form
 from .quiver import Path, multi_vertex_cycles
 
@@ -99,10 +100,11 @@ class CenterBasis:
             (d, els) for d, els in self.by_degree if d % 2 == 0))
 
 
-def _generator_pairs(spec: IdealSpec, cycle: Word) -> list[int]:
-    """The positions ``i`` of a simple multi-vertex cycle whose cyclic pair
-    ``cycle[i]*cycle[i + 1]`` (the last letter wrapping to the first) is a
-    monomial generator.  They decide every rotation of the cycle.
+@_per_ideal
+def cycle_survivors(spec: IdealSpec) -> tuple[Word | None, Word | None]:
+    """One pass over the simple multi-vertex cycles: the first rotation that
+    survives modulo the ideal, and the first cycle all of whose rotations
+    survive (wrap-alive), each ``None`` if there is none.
 
     Relations join distinct loops at one vertex only, so none applies to a
     word of non-loop arrows: its class is the word itself, and it lies in
@@ -114,27 +116,27 @@ def _generator_pairs(spec: IdealSpec, cycle: Word) -> list[int]:
     cycle itself, if there is none) is the first survivor by shift.  Every
     rotation survives, and the cycle is wrap-alive, iff none is.
     """
-    return [i for i, pair in enumerate(zip(cycle, cycle[1:] + cycle[:1]))
-            if pair in spec.monomial_set]
+    surviving = None
+    for cycle in multi_vertex_cycles(spec.quiver):
+        dead = [i for i, pair in enumerate(zip(cycle, cycle[1:] + cycle[:1]))
+                if pair in spec.monomial_set]
+        if not dead:
+            return surviving or cycle, cycle
+        if len(dead) == 1 and surviving is None:
+            surviving = cycle[dead[0] + 1:] + cycle[:dead[0] + 1]
+    return surviving, None
 
 
-@_per_ideal
 def surviving_multi_vertex_cycle(spec: IdealSpec) -> Word | None:
     """A rotation of a simple multi-vertex cycle that survives modulo the
-    ideal, if one exists, read off the cycles' generator pairs
-    (:func:`_generator_pairs`).
+    ideal, if one exists (:func:`cycle_survivors`).
 
     Such a surviving cycle word can carry central elements that are not
     products of loops (for the 2-cycle quiver with the zero ideal,
     ``cd + dc`` is central), so the loop-clique machinery refuses these
     quivers and defers to the oracle.
     """
-    for cycle in multi_vertex_cycles(spec.quiver):
-        dead = _generator_pairs(spec, cycle)
-        if len(dead) <= 1:
-            shift = dead[0] + 1 if dead else 0
-            return cycle[shift:] + cycle[:shift]
-    return None
+    return cycle_survivors(spec)[0]
 
 
 def hypothesis_report(spec: IdealSpec) -> dict[str, bool]:
@@ -297,57 +299,28 @@ def is_central_monomial(spec: IdealSpec, m: Path | Sequence[str]) -> Centrality:
     arrows, rows = _loop_masks(spec, vertex, support)
     state = reduce(partial(_grow, rows), rows, (0, 0, 0, 0))
     status = _status(arrows, vertex, tuple(support), *state)
-    if spec.flavor == COMMUTATIVE:
-        if status.central_ok:
-            return Centrality(True, "support clique extends or annihilates "
-                                    "every other arrow")
+    anti, odd = spec.flavor == ANTICOMMUTATIVE, len(word) % 2
+    if anti and any(c % 2 != odd for c in Counter(word).values()):
+        return Centrality(False, ("even-degree word with an odd multiplicity",
+                                  "odd-degree word with an even "
+                                  "multiplicity")[odd])
+    if anti and odd:
+        if status.kill_only:
+            return Centrality(True, "odd multiplicities over a clique that "
+                                    "annihilates every other arrow both ways")
+        who = status.extender or status.blocker
         return Centrality(
-            False, f"outside arrow {status.blocker} neither extends the "
-                   f"clique nor is annihilated (missing "
-                   f"{status.blocker_missing})")
-    counts = Counter(word)
-    if len(word) % 2 == 0:
-        if any(c % 2 for c in counts.values()):
-            return Centrality(
-                False, "even-degree word with an odd multiplicity")
-        if status.central_ok:
-            return Centrality(True, "even multiplicities over a clique that "
-                                    "extends or annihilates every other arrow")
-        return Centrality(
-            False, f"outside arrow {status.blocker} neither extends the "
-                   f"clique nor is annihilated (missing "
-                   f"{status.blocker_missing})")
-    if any(c % 2 == 0 for c in counts.values()):
-        return Centrality(False, "odd-degree word with an even multiplicity")
-    if status.kill_only:
-        return Centrality(True, "odd multiplicities over a clique that "
-                                "annihilates every other arrow both ways")
-    who = status.extender if status.extender is not None else status.blocker
+            False, f"odd degree requires every outside arrow annihilated "
+                   f"both ways, but {who} is not")
+    if status.central_ok:
+        return Centrality(True, (
+            "even multiplicities over a clique that extends or annihilates "
+            "every other arrow" if anti else
+            "support clique extends or annihilates every other arrow"))
     return Centrality(
-        False, f"odd degree requires every outside arrow annihilated both "
-               f"ways, but {who} is not")
-
-
-def _compositions(total: int, parts: int, minimum: int, step: int
-                  ) -> Iterator[tuple[int, ...]]:
-    """All ``parts``-tuples of integers ``>= minimum`` congruent to
-    ``minimum`` mod ``step`` summing to ``total``, lexicographically."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    first = minimum
-    while first <= total - minimum * (parts - 1):
-        for rest in _compositions(total - first, parts - 1, minimum, step):
-            yield (first,) + rest
-        first += step
-
-
-def _sorted_word(clique: Sequence[str], multiplicities: Sequence[int]) -> Word:
-    out: list[str] = []
-    for a, m in zip(clique, multiplicities):
-        out.extend([a] * m)
-    return tuple(out)
+        False, f"outside arrow {status.blocker} neither extends the "
+               f"clique nor is annihilated (missing "
+               f"{status.blocker_missing})")
 
 
 def _central_words(spec: IdealSpec, degrees: range
@@ -358,13 +331,20 @@ def _central_words(spec: IdealSpec, degrees: range
     anti = spec.flavor == ANTICOMMUTATIVE
     for d in degrees:
         words: list[tuple[Word, str]] = []
-        # any multiplicities (commutative), even ones at even degree, odd
-        # ones at odd degree over blocks that annihilate every outsider
+        # a central word over a clique C holds each member `least` times plus
+        # `step` copies of each letter of a multiset of size
+        # (d - least*|C|)/step: any multiplicities (commutative), even ones at
+        # even degree, odd ones at odd degree over blocks that annihilate
+        # every outsider
         least, step = (2 - d % 2, 2) if anti else (1, 1)
         for st in statuses:
-            if st.kill_only if anti and d % 2 else st.central_ok:
-                for mult in _compositions(d, len(st.clique), least, step):
-                    words.append((_sorted_word(st.clique, mult), st.basepoint))
+            spare, odd = divmod(d - least * len(st.clique), step)
+            if (st.kill_only if anti and d % 2 else st.central_ok) \
+                    and spare >= 0 and not odd:
+                for extra in combinations_with_replacement(st.clique, spare):
+                    words.append((tuple(sorted(
+                        st.clique * least + extra * step,
+                        key=st.clique.index)), st.basepoint))
         words.sort(key=lambda pair: spec.quiver.word_key(pair[0]))
         for word, basepoint in words:
             if canonical_form(spec, word) is None:
@@ -455,10 +435,11 @@ def even_center_upto(spec: IdealSpec,
 def graded_center_upto(spec: IdealSpec,
                        max_degree: int = DEFAULT_MAX_DEGREE) -> CenterBasis:
     """The graded center; for square-free ideals away from characteristic 2
-    it coincides with the even-degree center."""
+    it coincides with the even-degree center; characteristic 2 is bad input."""
     if spec.field_char == 2:
-        raise HypothesisError(
-            "the graded/even center identification needs characteristic != 2")
+        raise InputError(
+            "the graded/even center identification is unsupported in "
+            "characteristic 2")
     even = even_center_upto(spec, max_degree)
     if next(_central_words(spec, range(1, max_degree + 1, 2)), None) is None:
         even = replace(even, notes=even.notes + (

@@ -143,10 +143,6 @@ def _cmd_orthogonal(doc: SpecDocument, args) -> _Outcome:
 
 def _cmd_center(doc: SpecDocument, args) -> _Outcome:
     spec = doc.ideal
-    if args.graded and spec.field_char == 2:
-        raise InputError(
-            "the graded/even center identification is unsupported in "
-            "characteristic 2")
     notices: list[str] = []
     try:
         basis = (graded_center_upto(spec, args.max_degree)

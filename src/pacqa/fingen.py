@@ -143,31 +143,25 @@ def loop_supported_verdict(spec: IdealSpec) -> FinGenVerdict:
     if witness is not None:
         return FinGenVerdict(INFINITELY_GENERATED, (), witness, s_sets,
                              clique_names)
-    generators = _generators(spec, statuses)
+    generators = _generators(spec, statuses, s_sets)
     return FinGenVerdict(FINITELY_GENERATED, generators, None, s_sets,
                          clique_names)
 
 
-def _generators(spec: IdealSpec, statuses: tuple[CliqueStatus, ...]
+def _generators(spec: IdealSpec, statuses: tuple[CliqueStatus, ...],
+                s_sets: tuple[tuple[str, SCondition], ...]
                 ) -> tuple[Word, ...]:
-    q = spec.quiver
-    words: list[Word] = []
-    if spec.flavor != ANTICOMMUTATIVE:
-        for st in statuses:
-            if len(st.clique) == 1 and st.central_ok:
-                words.append(st.clique)
-    else:
-        # Squares of central loops generate the even part.  Odd-size blocks
-        # that annihilate everything outside themselves additionally carry
-        # odd-degree central monomials; their square-free products close the
-        # generation gap (a block with no outside arrows is the basic case).
-        for st in statuses:
-            if len(st.clique) == 1 and st.central_ok:
-                words.append((st.clique[0], st.clique[0]))
-        for st in statuses:
-            if st.kill_only and len(st.clique) % 2 == 1:
-                words.append(st.clique)
-    words.sort(key=lambda w: (len(w), q.word_key(w)))
+    """The loops of the S sets (commutative flavor), or their squares plus
+    the square-free product of every odd-size block that annihilates
+    everything outside itself (anticommutative flavor): such blocks carry
+    odd-degree central monomials, which the squares do not generate."""
+    anti = spec.flavor == ANTICOMMUTATIVE
+    words = [(a, a) if anti else (a,) for _, cond in s_sets
+             for a in cond.arrows]
+    if anti:
+        words += [st.clique for st in statuses
+                  if st.kill_only and len(st.clique) % 2 == 1]
+    words.sort(key=lambda w: (len(w), spec.quiver.word_key(w)))
     return tuple(words)
 
 

@@ -20,15 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .center import (DEFAULT_MAX_DEGREE, _generator_pairs,
-                     surviving_multi_vertex_cycle)
+from .center import DEFAULT_MAX_DEGREE, cycle_survivors
 from .errors import FalsificationError, HypothesisError
 from .fingen import (FINITELY_GENERATED, INFINITELY_GENERATED, TRIVIAL,
                      FinGenVerdict, loop_supported_verdict)
 from .graphs import is_admissible
 from .ideal import (KOSZUL_AUTO, KOSZUL_UNKNOWN, AlgebraPresentation,
                     IdealSpec, is_square_free, opposite_ideal, orthogonal)
-from .quiver import multi_vertex_cycles
 
 HH_FG = "finitely-generated"
 HH_INF = "infinitely-generated"
@@ -87,14 +85,6 @@ class HochschildVerdict:
         return "finitely generated"
 
 
-def _wrap_alive_cycle(spec: IdealSpec) -> tuple[str, ...] | None:
-    """A simple multi-vertex cycle none of whose cyclic pairs is a monomial
-    generator, if any: every rotation survives, and its rotation sums are
-    central and non-nilpotent, one per power."""
-    return next((cycle for cycle in multi_vertex_cycles(spec.quiver)
-                 if not _generator_pairs(spec, cycle)), None)
-
-
 def _cycle_supported_elements(spec: IdealSpec, max_degree: int):
     """Oracle central elements up to ``max_degree`` whose support contains a
     non-loop arrow; empty for loop-supported centers."""
@@ -117,9 +107,9 @@ def _dual_center_verdict(dual: IdealSpec, max_degree: int
     with multi-vertex cycles by the hybrid described in the module
     docstring."""
     verdict = loop_supported_verdict(dual)
-    if surviving_multi_vertex_cycle(dual) is None:
+    surviving, wrap_alive = cycle_survivors(dual)
+    if surviving is None:
         return verdict, []
-    wrap_alive = _wrap_alive_cycle(dual)
     if wrap_alive is not None:
         # a fully surviving cycle spawns non-nilpotent necklace families
         if verdict.status == TRIVIAL:

@@ -99,6 +99,39 @@ def random_multi_vertex_instance(rng: random.Random) -> IdealSpec:
                           rng.choice([0, 0, 2, 3, 5]))
 
 
+def random_theorem_instance(rng: random.Random) -> IdealSpec:
+    """A random square-free ideal whose orthogonal is admissible: 1-3
+    vertices with 1-4 loops each and, on two or more vertices, 1-3 arrows
+    between them, declared in shuffled order.  Every monomial ``a*b`` has
+    ``a`` before ``b`` in one random total order of the arrows, so the
+    generator graph is acyclic.  Each pair of co-based loops may be
+    related; any pair not related may be a monomial, taken in that order.
+    Both flavors, characteristics 0, 2, 3 and 5."""
+    vertices = [f"v{i}" for i in range(rng.randint(1, 3))]
+    ends = [(v, v) for v in vertices for _ in range(rng.randint(1, 4))]
+    if len(vertices) > 1:
+        ends += [tuple(rng.sample(vertices, 2))
+                 for _ in range(rng.randint(1, 3))]
+    rng.shuffle(ends)
+    quiver = build_quiver(vertices, [(f"a{i}", s, t)
+                                     for i, (s, t) in enumerate(ends)])
+    names = quiver.arrow_names
+    rank = {a: i for i, a in enumerate(rng.sample(names, len(names)))}
+    p_mono, p_rel = rng.choice([(0.2, 0.7), (0.5, 0.5), (0.8, 0.3)])
+    monomials, relations = [], []
+    for a in names:
+        for b in names:
+            if rank[a] >= rank[b] or not quiver.composable(a, b):
+                continue
+            if quiver.is_loop(a) and quiver.is_loop(b) \
+                    and rng.random() < p_rel:
+                relations.append((a, b))
+            elif rng.random() < p_mono:
+                monomials.append((a, b))
+    return validate_ideal(quiver, rng.choice([COMMUTATIVE, ANTICOMMUTATIVE]),
+                          monomials, relations, rng.choice([0, 0, 2, 3, 5]))
+
+
 def _random_generators(rng: random.Random, quiver):
     """(flavor, monomials, relations) drawn over the composable pairs of
     ``quiver``: relations only between distinct loops at one vertex."""

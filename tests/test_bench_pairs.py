@@ -95,3 +95,58 @@ def test_run_once_reads_the_last_line_and_writes_no_bytecode(tmp_path):
     assert got == {"dont_write": "1", "args": ["--seed", "1"]}
     with pytest.raises(SystemExit, match="benchmark failed"):
         bench_pairs.run_once(tmp_path, [sys.executable, "-c", "exit(3)"], [])
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    pairs = canned()
+    # tail spread: 1.5 over 16 and 1 over 11.5, inside the 25% bound
+    rows = rows_by_name(pairs)
+    assert not rows["latency_tail_ms"]["unresolved"]
+    for i, (p, c) in enumerate(pairs):
+        p["metrics"]["peak_rss_mb"]["value"] = 30 + 4 * (i % 2)
+        c["metrics"]["peak_rss_mb"]["value"] = 31 + 4 * (i % 2)
+    rss = rows_by_name(pairs)["peak_rss_mb"]
+    # quartiles 30/32/34: a spread of 4/32, past the 10% bound
+    assert rss["spread"] == 4 / 32 and rss["unresolved"]
+    assert not rss["worse_than_bound"]
+    for _, c in pairs:
+        c["metrics"]["peak_rss_mb"]["value"] = 29
+    # every change run below every parent run resolves it
+    assert not rows_by_name(pairs)["peak_rss_mb"]["unresolved"]
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks():
+    text = ('"""Module\n\ndocstring."""\nimport os  # why\n\n\n'
+            'def f(x):\n    """One line."""\n    # a comment\n'
+            '    return (x +\n            1)\n')
+    # import, def, and the two lines of the return
+    assert bench_pairs.code_lines(text) == 4
+
+
+def test_record_holds_commits_lines_summary_and_raw_runs(tmp_path):
+    checkouts = {}
+    for side, body in (("parent", "x = 1\n\n# note\ny = 2\n"),
+                       ("change", '"""Doc."""\nx = 1\n')):
+        package = tmp_path / side / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(body, encoding="utf-8")
+        checkouts[side] = tmp_path / side
+    pairs = canned()
+    pairs[0][1]["metrics"]["latency_tail_ms"]["value"] = None
+    out = bench_pairs.record(checkouts, 1, 25, END_TO_END,
+                             {"theorem-loops": pairs})
+    assert out["src_lines"] == {"parent": {"wc_l": 4, "code": 2},
+                                "change": {"wc_l": 2, "code": 1}}
+    assert out["commits"] == {"parent": None, "change": None}
+    assert (out["seed"], out["run_seconds"], out["pairs"]) == (1, 25, 10)
+    (entry,) = out["workloads"]
+    assert entry["workload"] == "theorem-loops"
+    assert [run["first"] for run in entry["runs"][:2]] == ["parent", "change"]
+    assert entry["runs"][0]["change"]["metrics"]["latency_tail_ms"] == {
+        "value": None, "unit": "u"}
+    tail = next(row for row in entry["metrics"]
+                if row["name"] == "latency_tail_ms")
+    assert tail["wins"] == 8 and tail["parent"] == [15.25, 16, 16.75]
+    # the infinite run leaves the change's quartiles finite, and the record
+    # is strict JSON
+    json.loads(json.dumps(out, allow_nan=False))

@@ -2,24 +2,28 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import pytest
 
 import clique_reference as reference
 import cycle_reference
 from helpers import (FIXTURES, build, fixture_ideal, random_instance,
-                     random_multi_vertex_instance, two_loop_polynomial)
+                     random_multi_vertex_instance, random_theorem_instance,
+                     two_loop_polynomial)
 from pacqa.center import (Centrality, center_is_trivial_at,
-                          central_monomials_upto, even_center_upto,
-                          graded_center_upto, hypothesis_report,
-                          is_central_monomial, loop_clique_statuses,
-                          require_hypotheses, surviving_multi_vertex_cycle)
-from pacqa.errors import HypothesisError, PacqaError
+                          central_monomials_upto, cycle_survivors,
+                          even_center_upto, graded_center_upto,
+                          hypothesis_report, is_central_monomial,
+                          loop_clique_statuses, require_hypotheses,
+                          surviving_multi_vertex_cycle)
+from pacqa.errors import HypothesisError, InputError, PacqaError
 from pacqa.fingen import center_finitely_generated
 from pacqa.graphs import is_admissible, relation_graph
 from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec,
                          is_square_free, orthogonal, restrict, validate_ideal)
-from pacqa.koszul import _wrap_alive_cycle, dual_ideal
+from pacqa.koszul import dual_ideal
+from pacqa.normalform import canonical_form
 from pacqa.quiver import build_quiver
 
 
@@ -183,7 +187,7 @@ class TestEvenAndGradedCenter:
     def test_char_two_graded_unsupported(self):
         spec = build(["x"], [("a", "x", "x"), ("b", "x", "x")],
                      ANTICOMMUTATIVE, relations=[("a", "b")], char=2)
-        with pytest.raises(HypothesisError):
+        with pytest.raises(InputError, match="unsupported in characteristic 2"):
             graded_center_upto(spec, 4)
 
     def test_even_degree_builds_match_the_even_slice(self):
@@ -195,6 +199,8 @@ class TestEvenAndGradedCenter:
         specs = [fixture_ideal(name) for name in FIXTURES]
         specs += [random_instance(rng) for _ in range(1_500)]
         specs += [random_multi_vertex_instance(wide) for _ in range(1_500)]
+        theorem = random.Random("even-slices-theorem")
+        specs += [random_theorem_instance(theorem) for _ in range(500)]
         compared = noted = 0
         for spec in specs:
             for d in range(1, 7):
@@ -203,13 +209,15 @@ class TestEvenAndGradedCenter:
                 except HypothesisError:
                     with pytest.raises(HypothesisError):
                         even_center_upto(spec, d)
-                    with pytest.raises(HypothesisError):
+                    # characteristic 2 is refused before the hypotheses
+                    with pytest.raises(InputError if spec.field_char == 2
+                                       else HypothesisError):
                         graded_center_upto(spec, d)
                     continue
                 even = full.even_slice()
                 assert even_center_upto(spec, d) == even
                 if spec.field_char == 2:
-                    with pytest.raises(HypothesisError):
+                    with pytest.raises(InputError):
                         graded_center_upto(spec, d)
                     continue
                 if even.by_degree == full.by_degree:
@@ -221,6 +229,7 @@ class TestEvenAndGradedCenter:
                 assert graded_center_upto(spec, d) == even, (spec, d)
                 compared += 1
         # both sides of the note, many times over
+        print(f"even slices: {compared} compared, {noted} noted")
         assert compared >= 2_500 and 1_000 <= noted <= compared - 1_000, (
             compared, noted)
 
@@ -319,6 +328,55 @@ def _outcome(fn, spec, word):
         return fn(spec, word)
     except PacqaError as exc:
         return type(exc), str(exc)
+
+
+def test_theorem_instances_meet_the_first_two_hypotheses():
+    """Every draw is square-free with an admissible orthogonal; most are
+    loop-supported too, so they reach theorem mode."""
+    rng = random.Random("theorem-instances")
+    supported = 0
+    for _ in range(1_000):
+        report = hypothesis_report(random_theorem_instance(rng))
+        assert report["square_free"] and report["orthogonal_admissible"]
+        supported += report["loop_supported"]
+    print(f"theorem instances: {supported} of 1000 loop-supported")
+    assert supported >= 600, supported
+
+
+def test_listing_matches_the_per_word_decision():
+    """For every D up to 6, the central words that the listing gives up to
+    D are the canonical forms of the words of degree <= D that
+    :func:`is_central_monomial` calls central.  The candidates are every
+    multiset of one vertex's loops, which knows nothing of cliques or
+    parity."""
+    specs = [fixture_ideal(name) for name in FIXTURES]
+    rng = random.Random("listing-vs-decision-theorem")
+    specs += [random_theorem_instance(rng) for _ in range(800)]
+    wide = random.Random("listing-vs-decision-multi-vertex")
+    specs += [random_multi_vertex_instance(wide) for _ in range(600)]
+    inside = listed = 0
+    for spec in specs:
+        try:
+            require_hypotheses(spec)
+        except HypothesisError:
+            continue
+        inside += 1
+        central = set()
+        for v in spec.quiver.vertices:
+            loops = spec.quiver.loops_at(v)
+            for d in range(1, 7):
+                for word in combinations_with_replacement(loops, d):
+                    if is_central_monomial(spec, word).central:
+                        central.add((d, canonical_form(spec, word)[1]))
+        for top in range(1, 7):
+            got = {(d, e.word)
+                   for d, els in central_monomials_upto(spec, top).by_degree
+                   for e in els}
+            assert got == {(d, w) for d, w in central if d <= top}, (
+                spec.generator_strings(), top)
+        listed += len(central)
+    print(f"listing vs decision: {inside} specs, {listed} central words")
+    assert inside >= 550 and listed >= 4_000, (inside, listed)
 
 
 class TestCliqueStatusAgainstReference:
@@ -420,13 +478,15 @@ class TestCyclePairRuleAgainstReference:
         specs += [_chain(rng, rng.randint(6, 12)) for _ in range(6)]
         wide = random.Random("cycle-pairs-multi-vertex")
         specs += [random_multi_vertex_instance(wide) for _ in range(600)]
+        theorem = random.Random("cycle-pairs-theorem")
+        specs += [random_theorem_instance(theorem) for _ in range(300)]
         specs += [dual_ideal(spec) for spec in specs
                   if is_admissible(spec).admissible]
         surviving = wrap_alive = single_rotation = 0
         for spec in specs:
             got = surviving_multi_vertex_cycle(spec)
             assert got == cycle_reference.surviving_multi_vertex_cycle(spec)
-            alive = _wrap_alive_cycle(spec)
+            alive = cycle_survivors(spec)[1]
             assert alive == cycle_reference.wrap_alive_cycle(spec)
             surviving += got is not None
             wrap_alive += alive is not None

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from helpers import FIXTURES, build, fixture_doc, fixture_ideal
-from pacqa.center import center_is_trivial_at
+from pacqa.center import (center_is_trivial_at, hypothesis_report,
+                          surviving_multi_vertex_cycle)
 from pacqa.errors import HypothesisError
 from pacqa.graphs import is_admissible
 from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, KOSZUL_ASSERTED,
@@ -11,6 +14,7 @@ from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, KOSZUL_ASSERTED,
                          make_presentation)
 from pacqa.koszul import HH_FG, HH_INF, HH_UNDECIDED, hochschild_fg, koszul_dual
 from pacqa.oracle import quotient_basis_upto
+from pacqa.quiver import multi_vertex_cycles
 
 OP = "°"
 
@@ -122,6 +126,26 @@ class TestHochschild:
             "its rotation sums are non-nilpotent central elements, so HH*/N "
             "is not trivial; each such family is generated by its first "
             "necklace",)
+
+    def test_one_cycle_search_per_ideal(self, monkeypatch):
+        searched = []
+
+        def counted(quiver):
+            searched.append(quiver)
+            return multi_vertex_cycles(quiver)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pacqa") \
+                    and hasattr(module, "multi_vertex_cycles"):
+                monkeypatch.setattr(module, "multi_vertex_cycles", counted)
+        spec = build(["x", "y"], [("c", "x", "y"), ("d", "y", "x")],
+                     monomials=[("c", "d"), ("d", "c")])
+        dual = hochschild_fg(make_presentation(spec)).dual.ideal
+        # the dual's surviving and wrap-alive cycles come from one search,
+        # which the hypotheses and the oracle's guard read again
+        assert not hypothesis_report(dual)["loop_supported"]
+        assert surviving_multi_vertex_cycle(dual) == (f"d{OP}", f"c{OP}")
+        assert searched == [dual.quiver]
 
     def test_verdict_always_carries_dual(self):
         for name in ("comm_two_loops_arrow", "monomial_two_loops_two_arrows",

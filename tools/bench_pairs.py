@@ -1,7 +1,7 @@
 """Paired benchmark runs of two checkouts, summarised per end-to-end metric.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        [--pairs 10] [--seed 1]
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W [W ...] \\
+        [--pairs 10] [--seed 1] [--out BENCH_N.json]
 
 Each pair runs the benchmark command of ``BENCHMARK.json`` (``perfbench/
 run.py``) once in each checkout, for the run length that file fixes, with
@@ -10,22 +10,30 @@ end-to-end metric the summary gives each side's median and quartiles over
 its runs, the pairs the change wins (ties count for neither side), whether
 the change's median is worse than the parent's by more than the metric's
 bound, and whether the change claims a gain: at least nine tenths of the
-pairs won, and medians further apart than the parent's quartiles.  Runs
-whose ops failed count as they are; ``attempted`` (ops finished in the run)
-is printed beside ``peak_rss_mb``, since memory rises with the ops a run
-keeps.  Nothing is written under either checkout's ``perfbench/``: the
-runs write no bytecode, and ``perfbench/run.py`` keeps its own outputs in
-``.perfbench-out/`` at the checkout's root.
+pairs won, and medians further apart than the parent's quartiles.  A metric
+whose spread (either side's quartile distance over its median) is wider
+than its bound is unresolved, unless every change run beats every parent
+run.  Runs whose ops failed count as they are; ``attempted`` (ops finished
+in the run) is printed beside ``peak_rss_mb``, since memory rises with the
+ops a run keeps.  ``--out`` writes a JSON record: both checkouts' commits,
+the seed, pairs and run length, each side's ``src/`` line counts, and per
+workload the summary rows and every raw run.  Nothing is written under
+either checkout's ``perfbench/``: the runs write no bytecode, and
+``perfbench/run.py`` keeps its own outputs in ``.perfbench-out/`` at the
+checkout's root.
 """
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import math
 import os
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +51,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def _value(result: dict, name: str) -> float:
     value = result["metrics"][name]["value"]
     return math.inf if value is None else value
+
+
+def _spread(q: tuple[float, float, float]) -> float:
+    """Quartile distance over the median; infinite when it cannot be
+    told (an infinite value, or a zero median under a nonzero distance)."""
+    width = q[2] - q[0]
+    if not width:
+        return 0.0
+    return width / abs(q[1]) if q[1] and math.isfinite(width) else math.inf
 
 
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]
@@ -64,9 +81,14 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]
         worse = cq[1] > limit if lower else cq[1] < limit
         better_by = pq[1] - cq[1] if lower else cq[1] - pq[1]
         gain = wins >= WIN_SHARE * len(pairs) and better_by > pq[2] - pq[0]
+        spread = max(_spread(pq), _spread(cq))
+        beats_all = (max(change) < min(parent) if lower
+                     else min(change) > max(parent))
         rows.append({"name": name, "unit": metric["unit"], "parent": pq,
                      "change": cq, "wins": wins, "pairs": len(pairs),
-                     "worse_than_bound": worse, "gain": gain})
+                     "worse_than_bound": worse, "gain": gain,
+                     "spread": spread, "unresolved":
+                         spread > metric["bound"] and not beats_all})
     return rows
 
 
@@ -81,7 +103,8 @@ def render(rows: list[dict], pairs: list[tuple[dict, dict]]) -> str:
              f"{'change q1/median/q3':>26} {'wins':>6}  verdict"]
     for row in rows:
         verdict = ("WORSE than bound" if row["worse_than_bound"]
-                   else "within bound") + (", gain" if row["gain"] else "")
+                   else "within bound") + (", gain" if row["gain"] else "") \
+            + (", unresolved" if row["unresolved"] else "")
         lines.append(f"{row['name']:<16} {three(row['parent']):>26} "
                      f"{three(row['change']):>26} "
                      f"{row['wins']:>3}/{row['pairs']:<2}  {verdict}")
@@ -100,6 +123,72 @@ def render(rows: list[dict], pairs: list[tuple[dict, dict]]) -> str:
     return "\n".join(lines)
 
 
+def code_lines(text: str) -> int:
+    """The code lines of one Python source: every line that a token other
+    than a comment spans, less the lines of docstrings (string literals
+    standing alone as statements).  Blank lines hold no token."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
+                and isinstance(node.value.value, str):
+            docs.update(range(node.lineno, node.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+              tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def src_lines(checkout: Path) -> dict[str, int]:
+    """``wc -l`` and :func:`code_lines` over the package sources,
+    ``src/*/*.py``."""
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(checkout.glob("src/*/*.py"))]
+    return {"wc_l": sum(text.count("\n") for text in texts),
+            "code": sum(map(code_lines, texts))}
+
+
+def commit_of(checkout: Path) -> str | None:
+    """The checkout's ``HEAD`` commit, or ``None`` outside a git checkout."""
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, check=False)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def _finite(value):
+    """``value`` with every infinity as ``None``, so the record is JSON."""
+    if isinstance(value, float) and math.isinf(value):
+        return None
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    return value
+
+
+def record(checkouts: dict[str, Path], seed: int, run_seconds: float,
+           end_to_end: list[dict],
+           runs: dict[str, list[tuple[dict, dict]]]) -> dict:
+    """The ``--out`` record for the ``runs`` of each workload: pairs of
+    ``(parent, change)`` results, the parent first in odd pairs."""
+    return _finite({
+        "commits": {side: commit_of(path) for side, path in checkouts.items()},
+        "src_lines": {side: src_lines(path)
+                      for side, path in checkouts.items()},
+        "seed": seed, "run_seconds": run_seconds,
+        "pairs": len(next(iter(runs.values()), [])),
+        "workloads": [{
+            "workload": workload,
+            "metrics": summarize(pairs, end_to_end),
+            "runs": [{"first": "parent" if i % 2 else "change",
+                      "parent": p, "change": c}
+                     for i, (p, c) in enumerate(pairs, start=1)],
+        } for workload, pairs in runs.items()],
+    })
+
+
 def run_once(checkout: Path, command: list[str], args: list[str]) -> dict:
     """One benchmark run in ``checkout``: its last stdout line, parsed."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
@@ -115,24 +204,38 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="parent checkout")
     parser.add_argument("change", type=Path, help="changed checkout")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path,
+                        help="write the JSON record to this file")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    run_args = ["--workload", args.workload, "--seed", str(args.seed),
-                "--seconds", str(bench["run_seconds"]), "--trace", "0"]
-    pairs = []
-    for i in range(args.pairs):
-        runs = {}
-        for side in ("change", "parent") if i % 2 else ("parent", "change"):
-            runs[side] = run_once(getattr(args, side), bench["command"],
-                                  run_args)
-        pairs.append((runs["parent"], runs["change"]))
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, "
-          f"{bench['run_seconds']} s per run")
-    print(render(summarize(pairs, bench["end_to_end"]), pairs))
+    runs = {}
+    for workload in args.workload:
+        run_args = ["--workload", workload, "--seed", str(args.seed),
+                    "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+        pairs = []
+        for i in range(args.pairs):
+            done = {}
+            for side in ("change", "parent") if i % 2 else ("parent",
+                                                            "change"):
+                done[side] = run_once(getattr(args, side), bench["command"],
+                                      run_args)
+            pairs.append((done["parent"], done["change"]))
+            print(f"{workload}: pair {i + 1}/{args.pairs} done",
+                  file=sys.stderr, flush=True)
+        runs[workload] = pairs
+        print(f"{workload}, seed {args.seed}, {args.pairs} pairs, "
+              f"{bench['run_seconds']} s per run")
+        print(render(summarize(pairs, bench["end_to_end"]), pairs),
+              flush=True)
+    if args.out is not None:
+        out = record({"parent": args.parent, "change": args.change},
+                     args.seed, bench["run_seconds"], bench["end_to_end"],
+                     runs)
+        args.out.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n",
+                            encoding="utf-8")
     return 0
 
 
