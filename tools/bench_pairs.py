@@ -230,12 +230,14 @@ def main(argv: list[str] | None = None) -> int:
               f"{bench['run_seconds']} s per run")
         print(render(summarize(pairs, bench["end_to_end"]), pairs),
               flush=True)
-    if args.out is not None:
-        out = record({"parent": args.parent, "change": args.change},
-                     args.seed, bench["run_seconds"], bench["end_to_end"],
-                     runs)
-        args.out.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+        # rewritten after each workload, so a failed run keeps the others
+        if args.out is not None:
+            out = record({"parent": args.parent, "change": args.change},
+                         args.seed, bench["run_seconds"],
+                         bench["end_to_end"], runs)
+            args.out.write_text(
+                json.dumps(out, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8")
     return 0
 
 
