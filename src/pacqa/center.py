@@ -26,7 +26,7 @@ from .errors import (FalsificationError, HypothesisError, IdealError,
 from .graphs import fold_cliques, is_admissible
 from .ideal import (ANTICOMMUTATIVE, IdealSpec, _per_ideal, is_square_free,
                     orthogonal)
-from .normalform import canonical_form
+from .normalform import canonical_form, canonical_index_form, context_for
 from .quiver import Path, multi_vertex_cycles
 
 Word = tuple[str, ...]
@@ -278,12 +278,13 @@ class Centrality:
 
 def is_central_monomial(spec: IdealSpec, m: Path | Sequence[str]) -> Centrality:
     """Decide centrality of a monomial from the masks of its support."""
+    q = spec.quiver
+    word = q.word(m)
     require_hypotheses(spec)
-    word = m.arrows if isinstance(m, Path) else tuple(m)
     if not word:
         raise IdealError("centrality is decided for words of degree >= 1")
-    q = spec.quiver
-    if canonical_form(spec, word) is None:
+    ctx = context_for(spec)
+    if canonical_index_form(ctx, ctx.encode(word)) is None:
         return Centrality(False, "the monomial is zero in the quotient")
     support = sorted(set(word), key=q.arrow_index)
     base = {q.origin(a) for a in support} | {q.target(a) for a in support}
@@ -327,7 +328,9 @@ def _central_words(spec: IdealSpec, degrees: range
                    ) -> Iterator[tuple[int, CenterElement]]:
     """Each of ``degrees`` in turn: its central canonical monomials, sorted
     by arrow order, each checked to survive as it is yielded."""
-    statuses = loop_clique_statuses(spec)
+    statuses = [st for st in loop_clique_statuses(spec) if st.central_ok]
+    if not statuses:  # then no degree has a central word
+        return
     anti = spec.flavor == ANTICOMMUTATIVE
     for d in degrees:
         words: list[tuple[Word, str]] = []
@@ -366,7 +369,7 @@ def _center_basis(spec: IdealSpec, max_degree: int, step: int
                     "odd-degree-exclusion: odd-degree products over the "
                     f"block {{{','.join(st.clique)}}} are not central "
                     f"although even-degree ones are; outside arrow "
-                    f"{st.extender if st.extender else st.blocker} "
+                    f"{st.extender} "
                     "(anti-)commutes with the block instead of annihilating "
                     "it, and odd degree requires two-sided annihilation")
     stream = _central_words(spec, range(step, max_degree + 1, step))

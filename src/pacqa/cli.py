@@ -433,12 +433,7 @@ def run(argv: list[str]) -> int:
         args = build_parser().parse_args(argv)
         args.max_degree = _max_degree(args)
         with open(args.spec, encoding="utf-8") as handle:
-            text = handle.read()
-    except (InputError, OSError, UnicodeDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    try:
-        doc = parse_spec(text)
+            doc = parse_spec(handle.read())
         result, lines, notices = _DISPATCH[args.command](doc, args)
         notices = sorted(set(doc.notices) | set(notices))
         if args.json:
@@ -459,7 +454,7 @@ def run(argv: list[str]) -> int:
     except FalsificationError as exc:
         sys.stderr.write(f"falsification: {exc}\n")
         return 2
-    except PacqaError as exc:
+    except (PacqaError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

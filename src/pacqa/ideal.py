@@ -166,17 +166,14 @@ def validate_ideal(quiver: Quiver,
         hit = [p for p in ((a, b), (b, a)) if p in mono]
         if hit:
             rel.discard(pair)
-            for x, y in hit:
-                other = (y, x)
-                if other not in mono:
-                    mono.add(other)
-                    notes.append(
-                        f"redundant pair {{{x}*{y}, relation {a}--{b}}} "
-                        f"normalized to monomials {x}*{y}, {y}*{x}")
-                else:
-                    notes.append(
-                        f"relation {a}--{b} dropped: both {a}*{b} and "
-                        f"{b}*{a} are monomial generators")
+        if len(hit) == 2:
+            notes.append(f"relation {a}--{b} dropped: both {a}*{b} and "
+                         f"{b}*{a} are monomial generators")
+        elif hit:
+            (x, y), = hit
+            mono.add((y, x))
+            notes.append(f"redundant pair {{{x}*{y}, relation {a}--{b}}} "
+                         f"normalized to monomials {x}*{y}, {y}*{x}")
 
     return IdealSpec(
         quiver=quiver,

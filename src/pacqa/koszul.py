@@ -156,8 +156,6 @@ def hochschild_fg(pres: AlgebraPresentation,
     trivial = verdict.status == TRIVIAL
     status = HH_FG if verdict.status in (FINITELY_GENERATED, TRIVIAL) \
         else HH_INF
-    generators = verdict.generators if verdict.status == FINITELY_GENERATED \
-        else ()
     assert verdict.status != INFINITELY_GENERATED or verdict.witness
     return HochschildVerdict(
         status=status,
@@ -165,7 +163,7 @@ def hochschild_fg(pres: AlgebraPresentation,
         koszul=pres.koszul,
         dual=dual,
         dual_verdict=verdict,
-        dual_center_generators=generators,
+        dual_center_generators=verdict.generators,
         evidence=EVIDENCE_CHAIN,
         notes=tuple(notes),
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import BudgetError, IdealError, QuiverError
+from .errors import BudgetError, IdealError
 from .ideal import IdealSpec, _per_ideal
 from .quiver import Path
 
@@ -59,10 +59,7 @@ class _Ctx:
         self.forms: dict[tuple[int, ...], IndexForm] = {}
 
     def encode(self, word: Sequence[str]) -> tuple[int, ...]:
-        try:
-            return tuple(self.index[a] for a in word)
-        except KeyError as exc:
-            raise QuiverError(f"unknown arrow {exc.args[0]!r}") from None
+        return tuple(self.index[a] for a in word)
 
     def decode(self, word: Sequence[int]) -> Word:
         return tuple(self.names[i] for i in word)
@@ -183,18 +180,6 @@ def _form(ctx: _Ctx, word: tuple[int, ...]) -> IndexForm:
         return form
 
 
-def _as_word(spec: IdealSpec, m: Path | Sequence[str]) -> Word:
-    if isinstance(m, Path):
-        if m.quiver != spec.quiver:
-            raise QuiverError("path and ideal live over different quivers")
-        return m.arrows
-    word = tuple(m)
-    for a, b in zip(word, word[1:]):
-        if not spec.quiver.composable(a, b):
-            raise QuiverError(f"non-composable junction {a!r} -> {b!r}")
-    return word
-
-
 @dataclass(frozen=True)
 class SignedClass:
     """A full equivalence class with signs relative to the representative."""
@@ -219,7 +204,7 @@ def equivalence_class(spec: IdealSpec, m: Path | Sequence[str]) -> SignedClass:
     when the class lies in the ideal.  Built afresh on each call, past
     :data:`CLASS_MEMBER_CAP` members it raises :class:`BudgetError`.
     """
-    word = _as_word(spec, m)
+    word = spec.quiver.word(m)
     if not word:
         raise IdealError("equivalence classes are defined for words of "
                          "degree >= 1")
@@ -246,7 +231,7 @@ def equivalence_class(spec: IdealSpec, m: Path | Sequence[str]) -> SignedClass:
 def monomial_in_ideal(spec: IdealSpec, m: Path | Sequence[str]) -> bool:
     """Ideal membership for a monomial: true iff the class of ``m`` contains
     a generator factor.  Degree-0 paths are never in a quadratic ideal."""
-    word = _as_word(spec, m)
+    word = spec.quiver.word(m)
     if not word:
         return False
     ctx = context_for(spec)
@@ -258,7 +243,7 @@ def canonical_form(spec: IdealSpec, m: Path | Sequence[str]
     """``None`` when ``m`` lies in the ideal; otherwise ``(sign, word)``
     with ``word`` the lexicographically minimal class member (by arrow
     declaration order) and ``m == sign * word`` in the quotient."""
-    word = _as_word(spec, m)
+    word = spec.quiver.word(m)
     if not word:
         raise IdealError("canonical forms are defined for words of "
                          "degree >= 1")

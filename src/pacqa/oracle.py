@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Sequence
 
 from .center import CenterBasis, CenterElement, surviving_multi_vertex_cycle
 from .errors import BudgetError, FalsificationError
@@ -28,6 +29,7 @@ from .ideal import IdealSpec, _per_ideal, is_square_free
 from .linalg import Field, SpanBasis, nullspace
 from .normalform import (_extend, _frontier_start, canonical_index_form,
                          context_for)
+from .quiver import Path
 
 Word = tuple[str, ...]
 
@@ -256,20 +258,21 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
     return TruncatedAlgebra(spec, max_degree, tuple(basis), tuple(checked))
 
 
-def raw_monomial_in_ideal(spec: IdealSpec, word: Word) -> bool:
+def raw_monomial_in_ideal(spec: IdealSpec, word: Path | Sequence[str]
+                          ) -> bool:
     """Ideal membership read off the raw quotient, independent of the
-    normal forms: the word's column lies in a zero class.  Only for degrees
-    of at most ``SELF_CHECK_PATH_CAP`` paths."""
+    normal forms: the word's column lies in a zero class.  Takes the words
+    :func:`normalform.monomial_in_ideal` takes, and only for degrees of at
+    most ``SELF_CHECK_PATH_CAP`` paths."""
+    word = spec.quiver.word(word)
     degree = len(word)
     if degree < 2:
         return False
     if not _affordable(spec, degree):
         raise BudgetError("path list too large for the raw membership route")
     quotient = _raw_span(spec, degree)
-    c = _raw_column(spec, context_for(spec).encode(word))
-    if c is None:
-        raise FalsificationError(f"{'*'.join(word)} is not a path")
-    return quotient.live_class(c) is None
+    return quotient.live_class(
+        _raw_column(spec, context_for(spec).encode(word))) is None
 
 
 def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
@@ -329,8 +332,6 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
                 terms = tuple(
                     (coeff, ctx.decode(block[j]))
                     for j, coeff in enumerate(vec) if coeff)
-                if not terms:
-                    continue
                 basepoints = {q.origin(w[0]) for _, w in terms}
                 element = CenterElement(
                     terms, basepoints.pop() if len(basepoints) == 1 else None)

@@ -83,6 +83,22 @@ class Quiver:
         """True when the length-2 word ``first second`` is a path."""
         return self.target(first) == self.origin(second)
 
+    def word(self, m: Path | Sequence[str]) -> tuple[str, ...]:
+        """``m`` as a word of this quiver: a :class:`Path` over it, or arrow
+        names whose every junction composes (a single name must name an
+        arrow); :class:`QuiverError` otherwise.  The one gate for words."""
+        if isinstance(m, Path):
+            if m.quiver != self:
+                raise QuiverError("path and ideal live over different quivers")
+            return m.arrows
+        word = tuple(m)
+        if len(word) == 1:
+            self.arrow(word[0])
+        for a, b in zip(word, word[1:]):
+            if not self.composable(a, b):
+                raise QuiverError(f"non-composable junction {a!r} -> {b!r}")
+        return word
+
     def word_key(self, word: Sequence[str]) -> tuple[int, ...]:
         """Sort key for words: arrow declaration indices."""
         order = self._arrow_order
@@ -167,9 +183,7 @@ class Path:
             return
         if not self.arrows:
             raise QuiverError("empty path: use a vertex path for degree 0")
-        for a, b in zip(self.arrows, self.arrows[1:]):
-            if not self.quiver.composable(a, b):
-                raise QuiverError(f"non-composable junction {a!r} -> {b!r}")
+        self.quiver.word(self.arrows)
 
     @classmethod
     def vertex_path(cls, quiver: Quiver, vertex: str) -> "Path":
@@ -177,8 +191,6 @@ class Path:
 
     @classmethod
     def from_arrows(cls, quiver: Quiver, arrows: Sequence[str]) -> "Path":
-        for a in arrows:
-            quiver.arrow(a)
         return cls(quiver, tuple(arrows))
 
     @property

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -350,6 +351,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "square-convention" in out
+
+    @pytest.mark.parametrize("extra", [[], ["--graded"]])
+    def test_center_without_central_clique_answers_at_once(
+            self, extra, tmp_path, capsys):
+        # no clique is central, so no degree has a central word: walking
+        # every degree up to the bound took seconds of CPU per 10^7
+        spec = tmp_path / "arrow.quiver"
+        spec.write_text("vertices: x, y\narrows: c: x->y\n"
+                        "ideal commutative\n")
+        start = time.process_time()
+        assert run(["center", str(spec), "--max-degree", "10000000",
+                    *extra]) == 0
+        assert time.process_time() - start < 1.0
+        assert "mode: theorem" in capsys.readouterr().out
 
     def test_graded_center_char_two_rejected(self, tmp_path, capsys):
         spec = tmp_path / "char2.quiver"

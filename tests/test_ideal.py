@@ -37,6 +37,16 @@ class TestValidate:
         dir_alg = quotient_basis_upto(direct, 4)
         assert lit_alg.basis == dir_alg.basis
 
+    def test_dropped_relation_noted_once(self):
+        # both monomials hit the relation; the note names the pair once
+        spec = build(["x", "y"], EX1_ARROWS, COMMUTATIVE,
+                     monomials=[("a", "b"), ("b", "a")],
+                     relations=[("a", "b")])
+        assert spec.relations == ()
+        assert spec.normalization_notes == (
+            "relation a--b dropped: both a*b and b*a are monomial "
+            "generators",)
+
     def test_relation_needs_co_based_loops(self):
         with pytest.raises(IdealError):
             build(["x", "y"], EX1_ARROWS, COMMUTATIVE,

@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fixture_ideal
+from pacqa.center import is_central_monomial
 from pacqa.dsl import parse_spec
 from pacqa.errors import QuiverError
+from pacqa.ideal import restrict
+from pacqa.normalform import (canonical_form, equivalence_class,
+                              monomial_in_ideal)
+from pacqa.oracle import raw_monomial_in_ideal
 from pacqa.quiver import (Path, build_quiver, compose, opposite,
                           vertex_subquiver)
 
@@ -64,6 +69,42 @@ class TestBuildQuiver:
         doc = parse_spec(text)
         assert time.process_time() - start < 2.0
         assert doc.quiver.connected_components == (doc.quiver.vertices,)
+
+
+class TestWordGate:
+    """Every engine that takes a word accepts and refuses the same words,
+    through ``Quiver.word``."""
+
+    @pytest.mark.parametrize("engine", [
+        canonical_form, monomial_in_ideal, equivalence_class,
+        is_central_monomial, raw_monomial_in_ideal],
+        ids=lambda engine: engine.__name__)
+    def test_engines_share_one_gate(self, engine):
+        spec = fixture_ideal("anti_two_loops_arrow")  # inside the hypotheses
+        other = restrict(spec, "y").quiver
+        assert other != spec.quiver
+        refused = [
+            (("c", "a"), "non-composable junction 'c' -> 'a'"),  # y, then x
+            (("zz",), "unknown arrow 'zz'"),
+            (("a", "zz", "b"), "unknown arrow 'zz'"),
+            (Path(other, ("c",)), "different quivers"),
+        ]
+        for word, message in refused:
+            # a QuiverError is neither a FalsificationError nor a TypeError
+            with pytest.raises(QuiverError, match=message):
+                engine(spec, word)
+        for word in (("c",), ("a", "b"), ("b", "a", "c")):
+            assert engine(spec, Path(spec.quiver, word)) \
+                == engine(spec, word)
+
+    def test_path_names_arrows_of_its_quiver(self):
+        q = ex1_quiver()
+        for arrows in (("zz",), ("a", "zz")):
+            with pytest.raises(QuiverError, match="unknown arrow 'zz'"):
+                Path(q, arrows)
+        with pytest.raises(QuiverError, match="non-composable"):
+            Path(q, ("c", "a"))
+        assert q.word(("a", "c")) == ("a", "c")
 
 
 class TestCompose:
