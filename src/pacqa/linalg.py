@@ -4,8 +4,9 @@ A row space kept in row echelon form for span-membership queries, reduced
 once when a nullspace reads it: the oracle's centralizer blocks and its
 finite-generation evidence, whose rows have many terms (the raw self-check's
 rows have at most two, and it uses a signed union-find instead).  Rows are
-``{column: coefficient}`` dicts.  One :class:`Field` type covers both
-cases: elements are Python numbers (Fractions in characteristic 0, ints in
+``{column: coefficient}`` dicts; columns are ints or, in the evidence,
+canonical index words of one degree, ordered as the basis orders them.
+One :class:`Field` type covers both cases: elements are Python numbers (Fractions in characteristic 0, ints in
 ``[0, p)`` otherwise), combined with ``+``, ``-`` and ``*`` and brought back
 into the field by :meth:`Field.of`; zero is the only falsy element.
 """

@@ -214,7 +214,6 @@ def _raw_column(spec: IdealSpec, word: tuple[int, ...]) -> int | None:
 
 
 def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
-                        self_check: bool = True,
                         budget: int = BASIS_BUDGET) -> TruncatedAlgebra:
     """Canonical bases of degrees 0..max_degree.
 
@@ -240,7 +239,7 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
             raise BudgetError(
                 f"quotient basis exceeds the budget of {budget} words at "
                 f"degree {d}")
-        if self_check and _affordable(spec, d):
+        if _affordable(spec, d):
             quotient = _raw_span(spec, d)
             raw = quotient.dimension
             if raw != len(words):
@@ -307,22 +306,17 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
         elements: list[CenterElement] = []
         for key in sorted(blocks):
             block = sorted(blocks[key])
-            col = {w: i for i, w in enumerate(block)}
             sparse_rows: dict[tuple[int, tuple[int, ...]], dict[int, int]]
             sparse_rows = defaultdict(dict)
-            for w in block:
-                for a in ctx.before[w[0]]:
-                    cf = canonical_index_form(ctx, (a,) + w)
-                    if cf is not None:
+            for j, w in enumerate(block):
+                # row (a, rep) of ``a w - w a``: left products, then right
+                products = [(a, (a,) + w, 1) for a in ctx.before[w[0]]]
+                products += [(a, w + (a,), -1) for a in ctx.after[w[-1]]]
+                for a, word, side in products:
+                    if cf := canonical_index_form(ctx, word):
                         sign, rep = cf
                         row = sparse_rows[(a, rep)]
-                        row[col[w]] = row.get(col[w], 0) + sign
-                for a in ctx.after[w[-1]]:
-                    cf = canonical_index_form(ctx, w + (a,))
-                    if cf is not None:
-                        sign, rep = cf
-                        row = sparse_rows[(a, rep)]
-                        row[col[w]] = row.get(col[w], 0) - sign
+                        row[j] = row.get(j, 0) + side * sign
             matrix = []
             for _, sparse in sorted(sparse_rows.items()):
                 row = {j: x for j, v in sparse.items() if (x := field.of(v))}
@@ -404,38 +398,25 @@ def oracle_fg_evidence(spec: IdealSpec, max_degree: int) -> FgEvidence:
     An infinitely generated center keeps producing new generators; a center
     generated in low degree saturates immediately.
     """
-    algebra = quotient_basis_upto(spec, max_degree + 1)
-    center = oracle_center_upto(spec, max_degree, algebra=algebra)
+    center = oracle_center_upto(spec, max_degree)
     ctx = context_for(spec)
     field = Field(spec.field_char)
 
-    basis_cols = {
-        d: {ctx.encode(w): i for i, w in enumerate(algebra.basis[d])}
-        for d in range(1, max_degree + 1)
-    }
-
-    def to_vector(terms, degree):
-        cols = basis_cols[degree]
-        return {cols[word]: coeff for coeff, word in terms}
-
-    def multiply(left_terms, right_terms):
+    def multiply(left, right):
         out: dict[tuple[int, ...], object] = {}
-        for lc, lw in left_terms:
-            for rc, rw in right_terms:
-                if rw[0] not in ctx.after[lw[-1]]:
-                    continue
-                cf = canonical_index_form(ctx, lw + rw)
-                if cf is None:
-                    continue
-                sign, rep = cf
-                out[rep] = field.of(out.get(rep, 0) + lc * rc * sign)
-        return [(c, rep) for rep, c in sorted(out.items()) if c]
+        for lw, lc in left.items():
+            for rw, rc in right.items():
+                if rw[0] in ctx.after[lw[-1]] and (
+                        cf := canonical_index_form(ctx, lw + rw)):
+                    sign, rep = cf
+                    out[rep] = field.of(out.get(rep, 0) + lc * rc * sign)
+        return {rep: c for rep, c in out.items() if c}
 
-    # central elements as terms on index words; their coefficients are
-    # already field elements
-    center_terms = {d: [[(c, ctx.encode(w)) for c, w in e.terms]
-                        for e in center.degree_slice(d)]
-                    for d in range(1, max_degree + 1)}
+    # central elements as vectors on canonical index words, which order as
+    # the basis columns do; their coefficients are already field elements
+    center_vectors = {d: [{ctx.encode(w): c for c, w in e.terms}
+                          for e in center.degree_slice(d)]
+                      for d in range(1, max_degree + 1)}
 
     # subalgebra_slice[g]: elements spanning the degree-g part of the
     # subalgebra generated by all central elements of degree <= g
@@ -445,13 +426,12 @@ def oracle_fg_evidence(spec: IdealSpec, max_degree: int) -> FgEvidence:
         product_span = SpanBasis(field)
         product_elements: list = []
         for e in range(1, d):
-            for z in center_terms[e]:
+            for z in center_vectors[e]:
                 for h in subalgebra_slice.get(d - e, ()):
                     prod = multiply(z, h)
-                    if prod and product_span.add(to_vector(prod, d)):
+                    if product_span.add(prod):
                         product_elements.append(prod)
-        new_elements = [z for z in center_terms[d]
-                        if product_span.add(to_vector(z, d))]
-        rows.append((d, len(center_terms[d]), len(new_elements)))
+        new_elements = [z for z in center_vectors[d] if product_span.add(z)]
+        rows.append((d, len(center_vectors[d]), len(new_elements)))
         subalgebra_slice[d] = product_elements + new_elements
     return FgEvidence(max_degree, tuple(rows))

@@ -7,11 +7,12 @@ the total order behind every canonical form and deterministic report.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import QuiverError
+from .errors import BudgetError, QuiverError
 
 OPPOSITE_MARK = "°"  # decoration toggled by opposite()
 
@@ -256,7 +257,9 @@ def multi_vertex_cycles(quiver: Quiver) -> tuple[tuple[str, ...], ...]:
     arrow tuples, in deterministic order.
 
     Loop arrows never take part; a quiver without such cycles has every
-    cycle word supported on loops at a single vertex.
+    cycle word supported on loops at a single vertex.  The search recurses
+    once per vertex of a path, and past the recursion limit it refuses with
+    :class:`BudgetError`.
     """
     non_loops = [a for a in quiver.arrows if a.origin != a.target]
     by_origin: dict[str, list] = {}
@@ -277,8 +280,13 @@ def multi_vertex_cycles(quiver: Quiver) -> tuple[tuple[str, ...], ...]:
                 search(start, nxt, path + (arrow.name,),
                        visited | {nxt})
 
-    for v in quiver.vertices:
-        search(v, v, (), frozenset({v}))
+    try:
+        for v in quiver.vertices:
+            search(v, v, (), frozenset({v}))
+    except RecursionError:
+        raise BudgetError(
+            "the multi-vertex cycle search exceeds the recursion limit "
+            f"({sys.getrecursionlimit()})") from None
     cycles.sort(key=lambda c: (len(c), quiver.word_key(c)))
     return tuple(cycles)
 

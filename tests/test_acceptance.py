@@ -121,8 +121,7 @@ def _check_admissibility_agreement(spec, stats):
     n = len(spec.quiver.arrows) + 1
     if verdict.admissible:
         try:
-            algebra = quotient_basis_upto(spec, n, self_check=False,
-                                          budget=60_000)
+            algebra = quotient_basis_upto(spec, n, budget=60_000)
         except BudgetError:
             stats["a_budget_skip"] += 1
             return
@@ -150,8 +149,7 @@ def _check_center_agreement(spec, stats):
         stats["b_budget_skip"] += 1
         return None
     try:
-        algebra = quotient_basis_upto(spec, degree + 1, self_check=False,
-                                      budget=20_000)
+        algebra = quotient_basis_upto(spec, degree + 1, budget=20_000)
     except BudgetError:
         stats["b_budget_skip"] += 1
         return None

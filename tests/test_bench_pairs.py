@@ -150,3 +150,42 @@ def test_record_holds_commits_lines_summary_and_raw_runs(tmp_path):
     # the infinite run leaves the change's quartiles finite, and the record
     # is strict JSON
     json.loads(json.dumps(out, allow_nan=False))
+
+
+def rss_runs(offset: float, change_attempted: list[int]
+             ) -> list[tuple[dict, dict]]:
+    """Parent runs on ``peak_rss_mb = 20 + 0.002 * attempted``, change runs
+    on that line moved up by ``offset`` MB."""
+    parent_attempted = [1_000, 1_400, 1_200, 1_100, 1_300]
+    return [(result(p, peak_rss_mb=20 + 0.002 * p),
+             result(c, peak_rss_mb=20 + offset + 0.002 * c))
+            for p, c in zip(parent_attempted, change_attempted)]
+
+
+def test_rss_at_equal_ops_on_the_parents_line_reads_zero():
+    # the change finishes more ops and so holds more memory, but no more
+    # than the parent would at the same ops
+    fit = bench_pairs.rss_at_equal_ops(
+        rss_runs(0, [1_500, 1_700, 1_600, 1_800, 1_650]))
+    assert fit["slope_mb_per_kop"] == pytest.approx(2)
+    assert fit["offset_mb"] == pytest.approx(0, abs=1e-9)
+    assert fit["offset_pct"] == pytest.approx(0, abs=1e-9)
+
+
+def test_rss_at_equal_ops_reads_an_offset():
+    fit = bench_pairs.rss_at_equal_ops(
+        rss_runs(2, [900, 1_000, 1_250, 1_100, 950]))
+    assert fit["slope_mb_per_kop"] == pytest.approx(2)
+    assert fit["offset_mb"] == pytest.approx(2)
+    # over the parent's median of 20 + 0.002 * 1,200 = 22.4 MB
+    assert fit["offset_pct"] == pytest.approx(100 * 2 / 22.4)
+
+
+def test_rss_at_equal_ops_needs_spread_within_a_side():
+    pairs = [(result(1_000, peak_rss_mb=30), result(2_000, peak_rss_mb=40))
+             for _ in range(4)]
+    assert bench_pairs.rss_at_equal_ops(pairs) == {
+        "slope_mb_per_kop": None, "offset_mb": None, "offset_pct": None}
+    lines = bench_pairs.render(bench_pairs.summarize(pairs, END_TO_END),
+                               pairs).splitlines()
+    assert "  at equal ops: no spread in attempted" in lines

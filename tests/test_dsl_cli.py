@@ -237,6 +237,26 @@ class TestCli:
         assert capsys.readouterr().out == (
             f"ADMISSIBLE, nilpotency bound: {n}\n")
 
+    @pytest.mark.parametrize("command", [["validate", "--json"], ["center"],
+                                         ["fingen"]])
+    def test_cycle_search_past_recursion_limit_is_refused(self, tmp_path,
+                                                          capsys, command):
+        # these commands search the quiver for multi-vertex cycles, one
+        # frame per vertex on a path; past the limit they refuse with exit 1
+        n = 1500
+        spec = tmp_path / "path.quiver"
+        spec.write_text(
+            "vertices: " + ", ".join(f"v{i}" for i in range(n)) + "\n"
+            "arrows: " + ", ".join(f"a{i}: v{i}->v{i + 1}"
+                                   for i in range(n - 1)) + "\n"
+            "ideal commutative\n")
+        assert run([*command, str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the multi-vertex cycle search exceeds the recursion "
+            f"limit ({sys.getrecursionlimit()})\n")
+
     def test_json_reports_are_byte_stable(self, capsys):
         args = ["center", "--json", "--max-degree", "4",
                 fixture_path("anti_two_loops_arrow")]

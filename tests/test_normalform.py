@@ -279,7 +279,7 @@ class TestTwoRouteAgreement:
 
         compared = 0
         for _, spec, degree in differential_cases(4242, 100, 100):
-            algebra = quotient_basis_upto(spec, degree, self_check=False)
+            algebra = quotient_basis_upto(spec, degree)
             assert (_raw_span(spec, degree).dimension
                     == algebra.dimensions[degree])
             compared += 1

@@ -15,12 +15,13 @@ whose spread (either side's quartile distance over its median) is wider
 than its bound is unresolved, unless every change run beats every parent
 run.  Runs whose ops failed count as they are; ``attempted`` (ops finished
 in the run) is printed beside ``peak_rss_mb``, since memory rises with the
-ops a run keeps.  ``--out`` writes a JSON record: both checkouts' commits,
-the seed, pairs and run length, each side's ``src/`` line counts, and per
-workload the summary rows and every raw run.  Nothing is written under
-either checkout's ``perfbench/``: the runs write no bytecode, and
-``perfbench/run.py`` keeps its own outputs in ``.perfbench-out/`` at the
-checkout's root.
+ops a run keeps, and so is the change's peak RSS against the parent's at
+equal ops (:func:`rss_at_equal_ops`).  ``--out`` writes a JSON record: both
+checkouts' commits, the seed, pairs and run length, each side's ``src/``
+line counts, and per workload the summary rows, the equal-ops RSS fit and
+every raw run.  Nothing is written under either checkout's ``perfbench/``:
+the runs write no bytecode, and ``perfbench/run.py`` keeps its own outputs
+in ``.perfbench-out/`` at the checkout's root.
 """
 from __future__ import annotations
 
@@ -92,6 +93,31 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]
     return rows
 
 
+def rss_at_equal_ops(pairs: list[tuple[dict, dict]]) -> dict:
+    """Peak RSS with the ops a run finished taken out: one line per side,
+    ``peak_rss_mb = a_side + b * attempted``, with one slope ``b`` fitted
+    by least squares to the deviations from each side's means.  Gives
+    ``b`` in MB per 1,000 ops and ``a_change - a_parent`` in MB and as a %
+    of the parent's median; all ``None`` when no side's ``attempted``
+    spreads or a run printed no finite peak RSS."""
+    sides = [[(r["attempted"], _value(r, "peak_rss_mb")) for r in side]
+             for side in zip(*pairs)]
+    means = [[statistics.fmean(v) for v in zip(*side)] for side in sides]
+    sxx = sum((x - mx) ** 2 for side, (mx, _) in zip(sides, means)
+              for x, _ in side)
+    if not sxx or not all(math.isfinite(y) for side in sides
+                          for _, y in side):
+        return {"slope_mb_per_kop": None, "offset_mb": None,
+                "offset_pct": None}
+    slope = sum((x - mx) * (y - my) for side, (mx, my) in zip(sides, means)
+                for x, y in side) / sxx
+    (px, py), (cx, cy) = means
+    offset = cy - py - slope * (cx - px)
+    parent_median = statistics.median(y for _, y in sides[0])
+    return {"slope_mb_per_kop": 1000 * slope, "offset_mb": offset,
+            "offset_pct": 100 * offset / parent_median}
+
+
 def render(rows: list[dict], pairs: list[tuple[dict, dict]]) -> str:
     """The summary table, then every run's values, pair by pair."""
     def three(q: tuple[float, float, float]) -> str:
@@ -112,6 +138,11 @@ def render(rows: list[dict], pairs: list[tuple[dict, dict]]) -> str:
             lines.append(f"{'  attempted':<16} "
                          f"{three(quartiles(attempted[0])):>26} "
                          f"{three(quartiles(attempted[1])):>26}")
+            fit = rss_at_equal_ops(pairs)
+            lines.append("  at equal ops: " + (
+                "no spread in attempted" if fit["offset_mb"] is None else
+                f"{fit['slope_mb_per_kop']:.3g} MB per 1,000 ops, change "
+                f"{fit['offset_mb']:+.3g} MB ({fit['offset_pct']:+.2g}%)"))
     for i, (p, c) in enumerate(pairs, start=1):
         first = "parent" if i % 2 else "change"
         for side, result in (("parent", p), ("change", c)):
@@ -182,6 +213,7 @@ def record(checkouts: dict[str, Path], seed: int, run_seconds: float,
         "workloads": [{
             "workload": workload,
             "metrics": summarize(pairs, end_to_end),
+            "rss_at_equal_ops": rss_at_equal_ops(pairs),
             "runs": [{"first": "parent" if i % 2 else "change",
                       "parent": p, "change": c}
                      for i, (p, c) in enumerate(pairs, start=1)],
