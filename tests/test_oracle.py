@@ -254,7 +254,8 @@ def dense_saturation(spec, max_degree):
     def dense(d, terms):
         vec = [field.of(0)] * len(basis[d])
         for c, w in terms:
-            vec[basis[d].index(w)] = field.of(vec[basis[d].index(w)] + c)
+            i = basis[d].index(w)
+            vec[i] = field.of(vec[i] + c)
         return vec
 
     def multiply(d, left, e, right):
