@@ -21,8 +21,7 @@ from itertools import combinations_with_replacement, groupby
 from operator import itemgetter, or_
 from typing import Iterator, Sequence
 
-from .errors import (FalsificationError, HypothesisError, IdealError,
-                     InputError)
+from .errors import FalsificationError, HypothesisError, IdealError
 from .graphs import fold_cliques, is_admissible
 from .ideal import (ANTICOMMUTATIVE, IdealSpec, _per_ideal, is_square_free,
                     orthogonal)
@@ -93,11 +92,6 @@ class CenterBasis:
     def is_monomial(self) -> bool:
         return all(e.is_monomial
                    for _, elements in self.by_degree for e in elements)
-
-    def even_slice(self) -> CenterBasis:
-        """The even-degree elements; everything else unchanged."""
-        return replace(self, by_degree=tuple(
-            (d, els) for d, els in self.by_degree if d % 2 == 0))
 
 
 @_per_ideal
@@ -437,12 +431,11 @@ def even_center_upto(spec: IdealSpec,
 
 def graded_center_upto(spec: IdealSpec,
                        max_degree: int = DEFAULT_MAX_DEGREE) -> CenterBasis:
-    """The graded center; for square-free ideals away from characteristic 2
-    it coincides with the even-degree center; characteristic 2 is bad input."""
+    """The graded center, of the z of degree d with ``a z = (-1)^d z a`` for
+    every arrow a: the center in characteristic 2, where the sign is 1, and
+    otherwise, under the theorem hypotheses, the even-degree center."""
     if spec.field_char == 2:
-        raise InputError(
-            "the graded/even center identification is unsupported in "
-            "characteristic 2")
+        return central_monomials_upto(spec, max_degree)
     even = even_center_upto(spec, max_degree)
     if next(_central_words(spec, range(1, max_degree + 1, 2)), None) is None:
         even = replace(even, notes=even.notes + (

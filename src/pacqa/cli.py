@@ -151,9 +151,7 @@ def _cmd_center(doc: SpecDocument, args) -> _Outcome:
         mode = "theorem"
     except HypothesisError as exc:
         notices.append(f"outside theorem hypotheses: {exc}")
-        basis = oracle_center_upto(spec, args.max_degree)
-        if args.graded:
-            basis = basis.even_slice()
+        basis = oracle_center_upto(spec, args.max_degree, graded=args.graded)
         mode = "oracle-only"
     result = {"mode": mode, **_center_payload(basis)}
     lines = [f"mode: {mode}",
@@ -406,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="rel",
                         help="which graph the dot command exports")
     parser.add_argument("--graded", action="store_true",
-                        help="center command: the graded (= even) center")
+                        help="center command: the graded center")
     return parser
 
 

@@ -1,10 +1,10 @@
 """Ground-truth engine: exact linear algebra over the truncated quotient.
 
 Independent of the clique machinery, this module computes quotient bases
-degree by degree, solves the centralizer equations ``a z = z a`` exactly to
-get the center, verifies non-nilpotence of central monomials, and produces
-degreewise finite-generation evidence by saturating products of
-lower-degree central elements.
+degree by degree, solves the centralizer equations ``a z = ±z a`` exactly to
+get the center or the graded center, verifies non-nilpotence of central
+monomials, and produces degreewise finite-generation evidence by saturating
+products of lower-degree central elements.
 
 The basis frontier extends each canonical word by one arrow with the
 normal-form append rule, O(degree + arrows) per extension instead of a full
@@ -275,9 +275,12 @@ def raw_monomial_in_ideal(spec: IdealSpec, word: Path | Sequence[str]
 
 
 def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
+                       graded: bool = False,
                        algebra: TruncatedAlgebra | None = None
                        ) -> CenterBasis:
-    """Solve ``a z = z a`` for every arrow exactly, degree by degree.
+    """Solve ``a z = ±z a`` for every arrow exactly, degree by degree: the
+    sign is + for the center and (-1)^d on degree d for the ``graded``
+    center, so in characteristic 2 both are the center.
 
     Candidates are restricted to cycle words (the center of a path algebra
     quotient is spanned by cycles; the vertex-idempotent equations are then
@@ -298,6 +301,7 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
     expect_monomial = (is_square_free(spec)
                        and surviving_multi_vertex_cycle(spec) is None)
     for d in range(1, max_degree + 1):
+        right = 1 if graded and d % 2 else -1  # minus the sign of z a
         cycles = [ctx.encode(w) for w in algebra.basis[d]
                   if q.origin(w[0]) == q.target(w[-1])]
         blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
@@ -309,9 +313,9 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
             sparse_rows: dict[tuple[int, tuple[int, ...]], dict[int, int]]
             sparse_rows = defaultdict(dict)
             for j, w in enumerate(block):
-                # row (a, rep) of ``a w - w a``: left products, then right
+                # row (a, rep) of ``a w ∓ w a``: left products, then right
                 products = [(a, (a,) + w, 1) for a in ctx.before[w[0]]]
-                products += [(a, w + (a,), -1) for a in ctx.after[w[-1]]]
+                products += [(a, w + (a,), right) for a in ctx.after[w[-1]]]
                 for a, word, side in products:
                     if cf := canonical_index_form(ctx, word):
                         sign, rep = cf

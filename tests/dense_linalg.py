@@ -34,7 +34,7 @@ def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 factor = rows[i][c]
-                rows[i] = [field.of(x - factor * y)
+                rows[i] = [field.of(x - factor * y) if y else x
                            for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1

@@ -134,13 +134,14 @@ def test_record_holds_commits_lines_summary_and_raw_runs(tmp_path):
     pairs = canned()
     pairs[0][1]["metrics"]["latency_tail_ms"]["value"] = None
     out = bench_pairs.record(checkouts, 1, 25, END_TO_END,
-                             {"theorem-loops": pairs})
+                             {"theorem-loops": pairs}, {})
     assert out["src_lines"] == {"parent": {"wc_l": 4, "code": 2},
                                 "change": {"wc_l": 2, "code": 1}}
     assert out["commits"] == {"parent": None, "change": None}
     assert (out["seed"], out["run_seconds"], out["pairs"]) == (1, 25, 10)
     (entry,) = out["workloads"]
     assert entry["workload"] == "theorem-loops"
+    assert entry["layer_calls"] is None  # no traced run given
     assert [run["first"] for run in entry["runs"][:2]] == ["parent", "change"]
     assert entry["runs"][0]["change"]["metrics"]["latency_tail_ms"] == {
         "value": None, "unit": "u"}
@@ -189,3 +190,58 @@ def test_rss_at_equal_ops_needs_spread_within_a_side():
     lines = bench_pairs.render(bench_pairs.summarize(pairs, END_TO_END),
                                pairs).splitlines()
     assert "  at equal ops: no spread in attempted" in lines
+
+
+def traced(canonical_form_calls: int) -> dict:
+    """A traced run's last line: layer counts, layer times and overhead."""
+    return result(84, **{"normalform.canonical_form.calls":
+                         canonical_form_calls,
+                         "normalform.canonical_form.s": 0.5,
+                         "linalg.nullspace.calls": 0,
+                         "oracle.raw_monomial_in_ideal.budget_skips": 0,
+                         "trace.overhead_s": 0.1})
+
+
+def test_layer_calls_keep_only_call_counts():
+    assert bench_pairs.layer_calls(traced(5_905)) == {
+        "linalg.nullspace.calls": 0,
+        "normalform.canonical_form.calls": 5_905}
+
+
+def test_calls_differing_names_every_moved_count():
+    parent = {"a.calls": 1, "b.calls": 2, "c.calls": 3}
+    assert bench_pairs.calls_differing(
+        {"parent": parent, "change": dict(parent)}) == []
+    change = {"a.calls": 1, "b.calls": 5, "d.calls": 0}
+    assert bench_pairs.calls_differing(
+        {"parent": parent, "change": change}) == [
+        "b.calls: parent 2, change 5", "c.calls: parent 3, change None",
+        "d.calls: parent None, change 0"]
+
+
+def test_main_traces_each_side_once_and_records_the_counts(
+        tmp_path, monkeypatch, capsys):
+    # two pairs of untraced runs, then one traced run per side, whose call
+    # counts the record keeps and whose differences the summary prints
+    seen = []
+
+    def fake_run_once(checkout, command, args):
+        seen.append((checkout.name, args[-1]))
+        if args[-1] == "1":
+            return traced(5_905 if checkout.name == "parent" else 5_906)
+        return canned()[0][checkout.name == "change"]
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(tmp_path / "parent"),
+                             str(tmp_path / "change"), "--workload",
+                             "theorem-loops", "--pairs", "2",
+                             "--out", str(out)]) == 0
+    assert seen == [("parent", "0"), ("change", "0"), ("change", "0"),
+                    ("parent", "0"), ("parent", "1"), ("change", "1")]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "layer call counts (2 names): normalform.canonical_form.calls: "
+        "parent 5905, change 5906")
+    (entry,) = json.loads(out.read_text(encoding="utf-8"))["workloads"]
+    assert entry["layer_calls"]["change"] == {
+        "linalg.nullspace.calls": 0, "normalform.canonical_form.calls": 5_906}

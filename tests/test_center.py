@@ -17,13 +17,14 @@ from pacqa.center import (Centrality, center_is_trivial_at,
                           hypothesis_report, is_central_monomial,
                           loop_clique_statuses, require_hypotheses,
                           surviving_multi_vertex_cycle)
-from pacqa.errors import HypothesisError, InputError, PacqaError
+from pacqa.errors import HypothesisError, PacqaError
 from pacqa.fingen import center_finitely_generated
 from pacqa.graphs import is_admissible, relation_graph
 from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, IdealSpec,
                          is_square_free, orthogonal, restrict, validate_ideal)
 from pacqa.koszul import dual_ideal
 from pacqa.normalform import canonical_form
+from pacqa.oracle import oracle_center_upto
 from pacqa.quiver import build_quiver
 
 
@@ -184,16 +185,35 @@ class TestEvenAndGradedCenter:
         assert degree_words(graded_center_upto(spec, 4)) == []
         assert degree_words(even_center_upto(spec, 4)) == []
 
-    def test_char_two_graded_unsupported(self):
+    def test_char_two_graded_is_the_center(self):
+        # the sign (-1)^d is 1 in characteristic 2, odd degrees included
         spec = build(["x"], [("a", "x", "x"), ("b", "x", "x")],
                      ANTICOMMUTATIVE, relations=[("a", "b")], char=2)
-        with pytest.raises(InputError, match="unsupported in characteristic 2"):
-            graded_center_upto(spec, 4)
+        graded = graded_center_upto(spec, 4)
+        assert graded == central_monomials_upto(spec, 4)
+        assert [d for d, _ in graded.by_degree] == [1, 2, 3, 4]
+
+    def test_theorem_graded_center_matches_graded_oracle(self):
+        compared = []
+        for name in FIXTURES:
+            spec = fixture_ideal(name)
+            try:
+                theorem = graded_center_upto(spec, 6)
+            except HypothesisError:
+                continue
+            oracle = oracle_center_upto(spec, 6, graded=True)
+            assert oracle.is_monomial, name
+            assert [theorem.words_at(d) for d in range(1, 7)] == \
+                [oracle.words_at(d) for d in range(1, 7)], name
+            compared.append(name)
+        # the other four fixtures lie outside the theorem hypotheses
+        assert compared == ["anti_two_loops_arrow", "comm_four_loops_arrow_out"]
 
     def test_even_degree_builds_match_the_even_slice(self):
         """Both slices build even degrees only.  They must equal the even
         slice of the full basis, and the graded center carries its
-        no-odd-degree note iff that slice is the whole basis."""
+        no-odd-degree note iff that slice is the whole basis; in
+        characteristic 2 the graded center is the full basis."""
         rng = random.Random("even-slices")
         wide = random.Random("even-slices-multi-vertex")
         specs = [fixture_ideal(name) for name in FIXTURES]
@@ -209,16 +229,14 @@ class TestEvenAndGradedCenter:
                 except HypothesisError:
                     with pytest.raises(HypothesisError):
                         even_center_upto(spec, d)
-                    # characteristic 2 is refused before the hypotheses
-                    with pytest.raises(InputError if spec.field_char == 2
-                                       else HypothesisError):
+                    with pytest.raises(HypothesisError):
                         graded_center_upto(spec, d)
                     continue
-                even = full.even_slice()
+                even = replace(full, by_degree=tuple(
+                    (e, els) for e, els in full.by_degree if e % 2 == 0))
                 assert even_center_upto(spec, d) == even
-                if spec.field_char == 2:
-                    with pytest.raises(InputError):
-                        graded_center_upto(spec, d)
+                if spec.field_char == 2:  # the graded center is the center
+                    assert graded_center_upto(spec, d) == full
                     continue
                 if even.by_degree == full.by_degree:
                     even = replace(even, notes=even.notes + (

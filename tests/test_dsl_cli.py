@@ -386,12 +386,49 @@ class TestCli:
         assert time.process_time() - start < 1.0
         assert "mode: theorem" in capsys.readouterr().out
 
-    def test_graded_center_char_two_rejected(self, tmp_path, capsys):
+    def test_graded_center_char_two_is_the_center(self, tmp_path, capsys):
+        # the sign (-1)^d is 1 in characteristic 2: the same bytes, odd
+        # degrees included, in theorem mode and in oracle mode
         spec = tmp_path / "char2.quiver"
-        spec.write_text("vertices: x\narrows: a: x->x, b: x->x\n"
-                        "ideal anticommutative\nchar: 2\nanti: a*b\n")
-        assert run(["center", "--graded", str(spec)]) == 1
-        assert run(["center", str(spec)]) == 0
+        for body, mode in (
+                ("arrows: a: x->x, b: x->x\nideal anticommutative\n"
+                 "anti: a*b\n", "theorem"),
+                ("arrows: x: x->x\nideal commutative\nzero: x*x\n",
+                 "oracle-only")):
+            spec.write_text(f"vertices: x\n{body}char: 2\n")
+            outputs = []
+            for extra in ([], ["--json"]):
+                assert run(["center", str(spec), *extra]) == 0
+                outputs.append(capsys.readouterr().out)
+                assert run(["center", "--graded", str(spec), *extra]) == 0
+                assert capsys.readouterr().out == outputs[-1]
+            text = outputs[0].splitlines()
+            assert f"mode: {mode}" in text
+            assert any(line.startswith("degree 1: ") for line in text)
+
+    @pytest.mark.parametrize("body,line", [
+        ("arrows: l0: x->x\nideal anticommutative\nzero: l0*l0\n",
+         "degree 1: l0"),
+        ("arrows: x: x->x\nideal commutative\nzero: x*x\n", "degree 1: x"),
+    ], ids=["exterior", "dual-numbers"])
+    def test_graded_center_keeps_odd_degrees(self, body, line, tmp_path,
+                                             capsys):
+        # the exterior algebra and k[x]/(x^2): x*x = 0 = -x*x, so x is
+        # graded-central although the ordinary center has no even part
+        spec = tmp_path / "odd.quiver"
+        spec.write_text(f"vertices: x\n{body}")
+        assert run(["center", "--graded", str(spec)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "mode: oracle-only" in out and line in out
+        assert not any(t.startswith("no central elements") for t in out)
+
+    def test_graded_center_of_anti_four_loops_full(self, capsys):
+        assert run(["center", "--graded", "--max-degree", "4",
+                    fixture_path("anti_four_loops_full")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-3:] == ["degree 1: a, b, c, d",
+                            "degree 2: a*b, a*c, a*d, b*c, b*d",
+                            "degree 3: a*b*c, a*b*d"]
 
 
 TWO_LOOPS = "vertices: x\narrows: a: x->x, b: x->x\nideal commutative\n"

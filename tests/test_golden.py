@@ -47,9 +47,9 @@ GOLDEN = {
     "anti_four_loops_free_pair center":
         (0, "77afcc7d7c65bb826db997fc7a08c05b28c265c00e746bc4e10fb6e3715e3942"),
     "anti_four_loops_free_pair center --graded":
-        (0, "77afcc7d7c65bb826db997fc7a08c05b28c265c00e746bc4e10fb6e3715e3942"),
+        (0, "4f404917f958e6f39ce61a7ebde4531c859fbd3778d73b84ba434e6fc8aabf9f"),
     "anti_four_loops_free_pair center --graded --json":
-        (0, "ce1e7b4efadb7ede77cfb510f95240766a235936534bdae3a8f30d3261c5d21f"),
+        (0, "c53b78df7b5ac8fef3a99fd42dcc5a865cff7aa7906df044df49099bcd345a16"),
     "anti_four_loops_free_pair center --json":
         (0, "ce1e7b4efadb7ede77cfb510f95240766a235936534bdae3a8f30d3261c5d21f"),
     "anti_four_loops_free_pair dot --graph gen":
@@ -99,9 +99,9 @@ GOLDEN = {
     "anti_four_loops_full center":
         (0, "e2c99ef500be2e05d82533f59fd49a234970fd337d37fe1616dafd22a5cdf52a"),
     "anti_four_loops_full center --graded":
-        (0, "2d8949c72b8dbba35119de43f2367c7625349f34d701261d759c268e33989d08"),
+        (0, "30bdba4af08ed766af9bc18572dec5529b94c4b09d75230a665f62e9ab3b210d"),
     "anti_four_loops_full center --graded --json":
-        (0, "1d58d2dbbc2bd57a9f8c1440c13a7d01f5a694d3dab8d1e073ffd7886c348250"),
+        (0, "10a35f0fecdd8ffa81ff4b8505e9e4f1cbf819b7590d404f14a1b24f8b5862fe"),
     "anti_four_loops_full center --json":
         (0, "9daf00659f04fa4cb6a1f9ba81f8d0a6abe50e855d9b81881f8911b0cbac0671"),
     "anti_four_loops_full dot --graph gen":
@@ -401,16 +401,16 @@ SEEDED_GOLDEN = (
     "035b0a5208d28c37823ca1b4343afd98385b950524592c9e293d93be53ecb7a8",
     "23db7faad980dabb56b4e66a9ff811c96e4ef21906d03c05427edbeaac5c4845",
     "82c348e7c5b0517c7870a586eb7fc6dbc045dc088d8efecb0c766becb1a516ad",
-    "c9384f903611bd177845fbb24175c1a8ef3d8cd5339f8cbb5bd09622dd631eb0",
+    "6970a0f8f0cffd4426b5be3416ac32671f9596bc089e064013a3624ff58cfb7b",
     "db093c17370e32ddca763b5a51f0abe314fb78b68a32ff93a848c08f628e829f",
     "b85c7a8245f6e51e49b75b64fa0d7adc8b2802c284c7ae7cbaf42e182c1f0d11",
     "d8c05d1b0ba6572ba99c448b0122f0b7c9e7ede5adf8f01e08c9afd5c035d9f7",
     "99b383bd89b15c39fd9446d87075da101103138d1fce070ece11c42d04d5bf47",
-    "4d938fa82a416fedf1888e73eb08d9a86edd70aa0576e22173ac7b0093de931b",
+    "73fc68aabd236b9deb54ec7997f203e1bb8e845bf59ba519e1f0a61865542485",
     "762a1a1986d72423a940a9faa1740590ce1e86bd787de66942cc6fa8ab10b275",
     "4d7a8e476faf416c79c621dd318d6b9de64d4f28da6f0429995f9df9d936755c",
     "d471b20996c786bbe0c8d7aec629b18183c6cc9bf826dc7c8e6ecf9470cfac4a",
-    "692d8489f683a6917699c19a7dfe83dd2de167a79fe29c514579c06df7d306ff",
+    "7d28f88503387cff2e02aaad91aeada558729a1f73b2f5e5a349a7a586f153f8",
     "4aecd79662c5115a283ad22921134c18560e1b2769ea54e6a8f836995af1ee0a",
     "45c8cfb467462a38ba89c23ced057a12c9cae46cfe3697c466473d90d94903be",
     "928c73ee6ed1c484f650a3b6234046b5716c2dd1e297c9686a261b30babad313",
@@ -423,18 +423,18 @@ SEEDED_GOLDEN = (
     "3b2539a0f74146f04ea71d3dea5abbcfb083837f4f67fa2b8507d182372788cf",
     "ca32fd48c5bc3ff93d3ad7b0025628a00a93ea33916070dc06f4755a8e2f9eb5",
     "b8998b26856f4502018a0b8fd0fd7a4fd84a4c015ed36ed52ed325846049d236",
-    "e28caf39d3be3523403f133e5df64016eef0193c250c69fc3596af16123805b7",
+    "0f0d3988b2e2317cc710db73f2464de1ab61301b76d6e26ec5800c964368d9f7",
     "9589f9cb6ad92eb475d26300671b1f1c4b06d03eca6981fa86be55c8a590780b",
     "679a9f0c7460f693ce4df40be12e4adac5ca538bc8eec53749ccccc8082d8e87",
     "8bfa4b456f8a77ecfaaecb02fb892a60ad87494f1f2ef71652d36365ffe4f1d1",
-    "179d6aa622ead1779d750baa902e8912e45d84fd7ed69185c87edac3d07721e0",
-    "74e76b274ee3331f8a0a826f670f0a29899a4eb621e500ff19394536943c01a3",
+    "cf7535d263fc78f9df5ee30adfce622327f50d2b238c4bbaef2952405b6d9aec",
+    "bae9215abb5912cf650276e62f9382107bf19f9deb7d43dd5716358a31d1513c",
     "5044155368d43e0c8a9908fc3eb30940bec319834ecad5bf91f7922483ff96c1",
-    "a547fa4321847707eba0fec37f0d0149f1d7f60069056cd778ea2e83b6249605",
+    "4e816e4aa79610e1fec356fd7ed7176602f0e011a052cb881916dfc07eb96bc2",
     "c1c406ad10c2fce464e5d6b12ae0cec4cfe6b63d7ede6b975ca3ef466c1affe6",
-    "0a86fd5657d07536ede2c676df9c6e2aabede329f9ff50d3701b5841484eddfa",
+    "97fdd4f9b597d0e519c47561f5c4540915cc8a2bf1d0893f6c6c5de7af36152d",
     "9f20265dba4b0d95b790983b181d26540b2a64ff7b0e9def12fddb16f9930462",
-    "2051a38c7ee554c479e3e9b8babfa5a602ac8abcecc354b217a6e0319fc50747",
+    "0926641dd88e1c0289ee4a2d7ed8f10b1c6f7e6eb780a51ce33fb1cfa1e61c20",
 )
 
 

@@ -17,12 +17,13 @@ from pacqa.errors import BudgetError
 from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
 from pacqa.koszul import dual_ideal
 from pacqa.linalg import Field, SpanBasis
-from pacqa.normalform import canonical_form
+from pacqa.normalform import canonical_form, context_for
 from pacqa.oracle import (SELF_CHECK_PATH_CAP, oracle_center_upto,
                           oracle_fg_evidence, oracle_nilpotence_check,
                           quotient_basis_upto)
 from raw_rows_reference import (count_paths, enumerate_paths, generator_rows,
                                 quotient_contains)
+from trace_reference import trace
 
 
 def degree_words(basis):
@@ -282,6 +283,75 @@ def dense_saturation(spec, max_degree):
         rows.append((d, len(central[d]), len(new)))
         generated[d] = kept + new
     return tuple(rows)
+
+
+class TestCenterDenseReference:
+    def test_centers_match_dense_reference(self):
+        # the oracle's centralizer blocks on index words, ordinary and
+        # graded, against one dense system per degree over all cycle words,
+        # its products read off the reference trace; only a spec past a
+        # budget is skipped
+        rng = random.Random("center-dense")
+        wide = random.Random("center-dense-multi-vertex")
+        specs = [fixture_ideal(name) for name in FIXTURES]
+        specs += [random_instance(rng) for _ in range(100)]
+        specs += [random_multi_vertex_instance(wide) for _ in range(100)]
+        compared, odd = 0, [0, 0]
+        for spec in specs:
+            try:
+                centers = [oracle_center_upto(spec, 5, graded=graded)
+                           for graded in (False, True)]
+            except BudgetError:
+                continue
+            for d, columns, spans in dense_centers(spec, 5):
+                for i, (center, span) in enumerate(zip(centers, spans)):
+                    got = [[span.field.of(0)] * len(columns)
+                           for _ in center.degree_slice(d)]
+                    for vec, element in zip(got, center.degree_slice(d)):
+                        for c, w in element.terms:
+                            vec[columns.index(w)] = c
+                    # independent, as many as the reference, inside it
+                    mine = dense_linalg.SpanBasis(len(columns), span.field)
+                    assert all(map(mine.add, got)) and all(
+                        map(span.contains, got)) and \
+                        len(got) == span.dimension, \
+                        (spec.generator_strings(), d, i)
+                    odd[i] += bool(got) and d % 2
+            compared += 1
+        # both signs meet odd-degree solutions
+        print(f"centers: {compared} specs, odd-degree solutions {odd}")
+        assert compared >= 200 and min(odd) >= 30, (compared, odd)
+
+
+def dense_centers(spec, max_degree):
+    """For each degree d: the cycle words of degree d in basis order, and
+    the spans of the solutions of ``a z = s z a`` over them for s = 1 (the
+    center) and s = (-1)^d (the graded center), one dense row per arrow a
+    and word of degree d + 1; every product is normalised by the reference
+    trace."""
+    field, ctx, q = Field(spec.field_char), context_for(spec), spec.quiver
+    basis = quotient_basis_upto(spec, max_degree + 1).basis
+    for d in range(1, max_degree + 1):
+        columns = [w for w in basis[d] if q.origin(w[0]) == q.target(w[-1])]
+        products = []  # (column, row key, sign, whether a right product)
+        for j, w in enumerate(columns):
+            for a in q.arrow_names:
+                for word, right in (((a,) + w, False), (w + (a,), True)):
+                    if all(map(q.composable, word, word[1:])):
+                        zero, sign, canonical = trace(ctx, ctx.encode(word))
+                        if not zero:
+                            products.append((j, (a, canonical), sign, right))
+        spans = {}
+        for s in {1, (-1) ** d}:
+            rows: dict = {}
+            for j, key, sign, right in products:
+                row = rows.setdefault(key, [field.of(0)] * len(columns))
+                row[j] = field.of(row[j] + (-s if right else 1) * sign)
+            spans[s] = dense_linalg.SpanBasis(len(columns), field)
+            for vec in dense_linalg.nullspace(list(rows.values()),
+                                              len(columns), field):
+                spans[s].add(vec)
+        yield d, columns, (spans[1], spans[(-1) ** d])
 
 
 class TestRawSpanMemo:

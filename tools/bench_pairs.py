@@ -16,10 +16,13 @@ than its bound is unresolved, unless every change run beats every parent
 run.  Runs whose ops failed count as they are; ``attempted`` (ops finished
 in the run) is printed beside ``peak_rss_mb``, since memory rises with the
 ops a run keeps, and so is the change's peak RSS against the parent's at
-equal ops (:func:`rss_at_equal_ops`).  ``--out`` writes a JSON record: both
-checkouts' commits, the seed, pairs and run length, each side's ``src/``
-line counts, and per workload the summary rows, the equal-ops RSS fit and
-every raw run.  Nothing is written under either checkout's ``perfbench/``:
+equal ops (:func:`rss_at_equal_ops`).  After a workload's pairs, one traced
+run per side (``--trace 1``) gives its layer call counts, and every count
+that differs between the sides is printed (:func:`calls_differing`).
+``--out`` writes a JSON record: both checkouts' commits, the seed, pairs
+and run length, each side's ``src/`` line counts, and per workload the
+summary rows, the equal-ops RSS fit, each side's call counts and every raw
+run.  Nothing is written under either checkout's ``perfbench/``:
 the runs write no bytecode, and ``perfbench/run.py`` keeps its own outputs
 in ``.perfbench-out/`` at the checkout's root.
 """
@@ -154,6 +157,22 @@ def render(rows: list[dict], pairs: list[tuple[dict, dict]]) -> str:
     return "\n".join(lines)
 
 
+def layer_calls(result: dict) -> dict[str, float]:
+    """The ``*.calls`` metrics of one traced run, by name."""
+    return {name: metric["value"]
+            for name, metric in sorted(result["metrics"].items())
+            if name.endswith(".calls")}
+
+
+def calls_differing(calls: dict[str, dict[str, float]]) -> list[str]:
+    """One line per call count that differs between ``calls["parent"]``
+    and ``calls["change"]``; a count one side lacks reads ``None``."""
+    parent, change = calls["parent"], calls["change"]
+    return [f"{name}: parent {parent.get(name)}, change {change.get(name)}"
+            for name in sorted(parent.keys() | change.keys())
+            if parent.get(name) != change.get(name)]
+
+
 def code_lines(text: str) -> int:
     """The code lines of one Python source: every line that a token other
     than a comment spans, less the lines of docstrings (string literals
@@ -201,9 +220,11 @@ def _finite(value):
 
 def record(checkouts: dict[str, Path], seed: int, run_seconds: float,
            end_to_end: list[dict],
-           runs: dict[str, list[tuple[dict, dict]]]) -> dict:
+           runs: dict[str, list[tuple[dict, dict]]],
+           calls: dict[str, dict[str, dict]]) -> dict:
     """The ``--out`` record for the ``runs`` of each workload: pairs of
-    ``(parent, change)`` results, the parent first in odd pairs."""
+    ``(parent, change)`` results, the parent first in odd pairs; ``calls``
+    holds each workload's :func:`layer_calls` per side, where measured."""
     return _finite({
         "commits": {side: commit_of(path) for side, path in checkouts.items()},
         "src_lines": {side: src_lines(path)
@@ -214,6 +235,7 @@ def record(checkouts: dict[str, Path], seed: int, run_seconds: float,
             "workload": workload,
             "metrics": summarize(pairs, end_to_end),
             "rss_at_equal_ops": rss_at_equal_ops(pairs),
+            "layer_calls": calls.get(workload),
             "runs": [{"first": "parent" if i % 2 else "change",
                       "parent": p, "change": c}
                      for i, (p, c) in enumerate(pairs, start=1)],
@@ -243,30 +265,37 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the JSON record to this file")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    runs = {}
+    runs, calls = {}, {}
     for workload in args.workload:
         run_args = ["--workload", workload, "--seed", str(args.seed),
-                    "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+                    "--seconds", str(bench["run_seconds"])]
         pairs = []
         for i in range(args.pairs):
             done = {}
             for side in ("change", "parent") if i % 2 else ("parent",
                                                             "change"):
                 done[side] = run_once(getattr(args, side), bench["command"],
-                                      run_args)
+                                      [*run_args, "--trace", "0"])
             pairs.append((done["parent"], done["change"]))
             print(f"{workload}: pair {i + 1}/{args.pairs} done",
                   file=sys.stderr, flush=True)
         runs[workload] = pairs
+        calls[workload] = {
+            side: layer_calls(run_once(getattr(args, side), bench["command"],
+                                       [*run_args, "--trace", "1"]))
+            for side in ("parent", "change")}
         print(f"{workload}, seed {args.seed}, {args.pairs} pairs, "
               f"{bench['run_seconds']} s per run")
-        print(render(summarize(pairs, bench["end_to_end"]), pairs),
+        print(render(summarize(pairs, bench["end_to_end"]), pairs))
+        differing = calls_differing(calls[workload])
+        print(f"layer call counts ({len(calls[workload]['parent'])} names): "
+              + ("equal" if not differing else "; ".join(differing)),
               flush=True)
         # rewritten after each workload, so a failed run keeps the others
         if args.out is not None:
             out = record({"parent": args.parent, "change": args.change},
                          args.seed, bench["run_seconds"],
-                         bench["end_to_end"], runs)
+                         bench["end_to_end"], runs, calls)
             args.out.write_text(
                 json.dumps(out, indent=2, sort_keys=True) + "\n",
                 encoding="utf-8")
