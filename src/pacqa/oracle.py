@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Sequence
 
 from .center import CenterBasis, CenterElement, surviving_multi_vertex_cycle
@@ -53,31 +52,6 @@ class TruncatedAlgebra:
     @property
     def dimensions(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.basis)
-
-
-@_per_ideal
-def _path_counts(spec: IdealSpec) -> SimpleNamespace:
-    """``affordable``: degree -> decision; ``last``: ``(degree, paths
-    ending in each arrow)``, saturated, at the highest degree, set whole."""
-    return SimpleNamespace(affordable={}, last=None)
-
-
-def _affordable(spec: IdealSpec, degree: int) -> bool:
-    """Whether a degree >= 1 has at most ``SELF_CHECK_PATH_CAP`` paths,
-    decided once per spec and degree by extending the highest one counted.
-    Counts saturate at the cap plus one: a count over the cap keeps every
-    count it feeds over it, so the decision is exact on small ints."""
-    counts, over = _path_counts(spec), SELF_CHECK_PATH_CAP + 1
-    if degree not in counts.affordable:
-        before = context_for(spec).before
-        d, ending = counts.last or (0, None)
-        while d < degree:
-            ending = [min(over, sum(ending[i] for i in into)) if d else 1
-                      for into in before]  # degree 1: one path per arrow
-            d += 1
-            counts.affordable[d] = sum(ending) < over
-        counts.last = (d, ending)
-    return counts.affordable[degree]
 
 
 class _SignedQuotient:
@@ -139,18 +113,21 @@ class _SignedQuotient:
 
 
 @_per_ideal
-def _raw_levels(spec: IdealSpec) -> dict[int, tuple]:
-    """Degree d -> ``(first, last, quotient)``, filled from degree 1 up.
+def _raw_levels(spec: IdealSpec) -> dict[int, tuple | None]:
+    """Degree d -> ``(first, last, quotient)``, filled from degree 1 up,
+    with None at the first degree of more than ``SELF_CHECK_PATH_CAP``
+    paths, where it stops: no level over the cap is ever built.
     Columns are paths in lexicographic order of index words: column c is a
     column p below followed by the arrow ``last[c]``, and p's children fill
     the block from ``first[p]`` in ``after`` order; at degree 1, arrows."""
     n = len(context_for(spec).after)
-    return {1: ([], list(range(n)),
-                _SignedQuotient(n, spec.field_char))}
+    return {1: ([], list(range(n)), _SignedQuotient(n, spec.field_char))
+            if n <= SELF_CHECK_PATH_CAP else None}
 
 
-def _lift(spec: IdealSpec, low: tuple, degree: int) -> tuple:
-    """The level of ``degree`` from the level below (``low``), in one pass:
+def _lift(spec: IdealSpec, low: tuple, degree: int) -> tuple | None:
+    """The level of ``degree`` from the level below (``low``), in one pass,
+    or None when it would have more than ``SELF_CHECK_PATH_CAP`` columns:
     every row ``p * g * q`` of degree d with q nonempty is a row of degree
     d - 1 times q's last arrow, so the ideal's slice is ``I_{d-1} * arrows
     + L_d``, where the rows of ``L_d`` hold g in the last two places.  Right
@@ -163,6 +140,8 @@ def _lift(spec: IdealSpec, low: tuple, degree: int) -> tuple:
     """
     ctx = context_for(spec)
     after, (_, low_last, low_q) = ctx.after, low
+    if sum(len(after[a]) for a in low_last) > SELF_CHECK_PATH_CAP:
+        return None
     first, prefix, last = [], [], []
     ends: list[list[int]] = [[] for _ in after]  # arrow -> low columns
     for p, a in enumerate(low_last):
@@ -191,15 +170,20 @@ def _lift(spec: IdealSpec, low: tuple, degree: int) -> tuple:
     return first, last, quotient
 
 
-def _raw_span(spec: IdealSpec, degree: int) -> _SignedQuotient:
+def _raw_span(spec: IdealSpec, degree: int) -> _SignedQuotient | None:
     """The raw quotient of one degree slice, from the generators alone,
-    lifted level by level (:func:`_lift`).  A level enters the memo only
-    when complete and never changes after, so a reader in another thread
-    never sees a partial one (two threads may both build it)."""
+    lifted level by level (:func:`_lift`); None from the first degree over
+    the cap up.  A level enters the memo only when complete, and the first
+    one stored wins, so a reader in another thread never sees a partial or
+    a replaced one (two threads may both build it)."""
     levels = _raw_levels(spec)
-    for d in range(len(levels) + 1, degree + 1):  # 1..len(levels) are there
-        levels[d] = _lift(spec, levels[d - 1], d)
-    return levels[degree][2]
+    for d in range(2, degree + 1):
+        if levels[d - 1] is None:
+            return None
+        if d not in levels:
+            levels.setdefault(d, _lift(spec, levels[d - 1], d))
+    level = levels[degree]
+    return None if level is None else level[2]
 
 
 def _raw_column(spec: IdealSpec, word: tuple[int, ...]) -> int | None:
@@ -221,9 +205,10 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
     prefix of a surviving word survives, so this reaches every class.  Each
     word carries its trace state and grows by the append rule
     (:func:`normalform._extend`), which also fills the form memo that the
-    center's right products read.  When a degree has at most
-    ``SELF_CHECK_PATH_CAP`` paths, the raw quotient checks the words class
-    by class: as many as its dimension, each in a different nonzero class.
+    center's right products read.  Where it and every degree below it have
+    at most ``SELF_CHECK_PATH_CAP`` paths, so that :func:`_raw_span` lifts
+    it, the raw quotient checks the words class by class: as many as its
+    dimension, each in a different nonzero class.
     """
     ctx = context_for(spec)
     basis: list[tuple[Word, ...]] = [tuple(spec.quiver.vertices)]
@@ -239,8 +224,7 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
             raise BudgetError(
                 f"quotient basis exceeds the budget of {budget} words at "
                 f"degree {d}")
-        if _affordable(spec, d):
-            quotient = _raw_span(spec, d)
+        if (quotient := _raw_span(spec, d)) is not None:
             raw = quotient.dimension
             if raw != len(words):
                 raise FalsificationError(
@@ -261,15 +245,16 @@ def raw_monomial_in_ideal(spec: IdealSpec, word: Path | Sequence[str]
                           ) -> bool:
     """Ideal membership read off the raw quotient, independent of the
     normal forms: the word's column lies in a zero class.  Takes the words
-    :func:`normalform.monomial_in_ideal` takes, and only for degrees of at
-    most ``SELF_CHECK_PATH_CAP`` paths."""
+    :func:`normalform.monomial_in_ideal` takes; a ``BudgetError`` where the
+    word's degree or one below it has more than ``SELF_CHECK_PATH_CAP``
+    paths."""
     word = spec.quiver.word(word)
     degree = len(word)
     if degree < 2:
         return False
-    if not _affordable(spec, degree):
-        raise BudgetError("path list too large for the raw membership route")
     quotient = _raw_span(spec, degree)
+    if quotient is None:
+        raise BudgetError("path list too large for the raw membership route")
     return quotient.live_class(
         _raw_column(spec, context_for(spec).encode(word))) is None
 

@@ -49,6 +49,23 @@ def two_loop_polynomial() -> IdealSpec:
                  COMMUTATIVE, relations=[("a", "b")])
 
 
+def layered_text(width: int) -> str:
+    """Three layers of ``width`` parallel arrows x0 -> x1 -> x2 -> x3, each
+    composition of two layers a monomial generator, plus a path of four
+    arrows e0..e3: degrees 1..4 have 3w + 4, 2w^2 + 3, w^3 + 2 and 1
+    paths, so the path counts fall after degree 3."""
+    layers = "pqr"
+    arrows = [f"{l}{i}: x{k}->x{k + 1}" for k, l in enumerate(layers)
+              for i in range(width)]
+    arrows += [f"e{k}: y{k}->y{k + 1}" for k in range(4)]
+    zero = [f"{l}{i}*{m}{j}" for l, m in zip(layers, layers[1:])
+            for i in range(width) for j in range(width)]
+    vertices = [f"x{k}" for k in range(4)] + [f"y{k}" for k in range(5)]
+    return "".join(f"{key}{', '.join(items)}\n" for key, items in (
+        ("vertices: ", vertices), ("arrows: ", arrows),
+        ("ideal commutative", ()), ("zero: ", zero)))
+
+
 def words(*texts: str) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(t) for t in texts)
 
@@ -199,7 +216,7 @@ def random_surviving_word(rng: random.Random, spec: IdealSpec,
 
 # Differential sizes: every degree 2..6 slice of up to this many paths.
 # The raw route's own cap (SELF_CHECK_PATH_CAP) is lower; the differential
-# tests read the shared raw quotient directly.
+# tests that read the shared raw quotient raise it to this.
 DIFFERENTIAL_PATH_CAP = 4_096
 
 

@@ -300,6 +300,23 @@ def test_criterion_5d_shorter_path_as_stated():
     print("ACCEPTANCE 5(d) PASS: 1000 deletion words survived")
 
 
+def test_criterion_5d_counterexample_by_both_membership_routes(monkeypatch):
+    """The refuting instance of 5(d), decided by the normal forms and by
+    the raw quotient alone: the deletion word lies in the ideal, the word
+    does not.  Degree 5 has 3^5 = 243 paths, under the raw route's cap;
+    degree 6 has 729, so the cap is raised for the word."""
+    from pacqa import oracle
+
+    spec, word, i = _refuting_deletion_instance()
+    deleted = word[:i] + word[i + 1:]
+    assert deleted == ("l2", "l1", "l0", "l0", "l1")
+    assert monomial_in_ideal(spec, deleted)
+    assert oracle.raw_monomial_in_ideal(spec, deleted)
+    assert not monomial_in_ideal(spec, word)
+    monkeypatch.setattr(oracle, "SELF_CHECK_PATH_CAP", 3 ** 6)
+    assert not oracle.raw_monomial_in_ideal(spec, word)
+
+
 def test_criterion_6_nilpotence_on_square_free_fixtures():
     checked = []
     for name in FIXTURES:

@@ -134,7 +134,7 @@ def test_record_holds_commits_lines_summary_and_raw_runs(tmp_path):
     pairs = canned()
     pairs[0][1]["metrics"]["latency_tail_ms"]["value"] = None
     out = bench_pairs.record(checkouts, 1, 25, END_TO_END,
-                             {"theorem-loops": pairs}, {})
+                             {"theorem-loops": pairs}, {}, {})
     assert out["src_lines"] == {"parent": {"wc_l": 4, "code": 2},
                                 "change": {"wc_l": 2, "code": 1}}
     assert out["commits"] == {"parent": None, "change": None}
@@ -142,6 +142,7 @@ def test_record_holds_commits_lines_summary_and_raw_runs(tmp_path):
     (entry,) = out["workloads"]
     assert entry["workload"] == "theorem-loops"
     assert entry["layer_calls"] is None  # no traced run given
+    assert entry["op_cpu_ms"] is None
     assert [run["first"] for run in entry["runs"][:2]] == ["parent", "change"]
     assert entry["runs"][0]["change"]["metrics"]["latency_tail_ms"] == {
         "value": None, "unit": "u"}
@@ -219,6 +220,61 @@ def test_calls_differing_names_every_moved_count():
         "d.calls: parent None, change 0"]
 
 
+def write_details(checkout: Path, workload: str, details: dict) -> None:
+    """The details file ``perfbench/run.py`` leaves after an untraced run
+    at seed 1."""
+    out = checkout / ".perfbench-out"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{workload}-seed1-trace0.json").write_text(
+        json.dumps({"details": details}), encoding="utf-8")
+
+
+def test_op_minima_keep_each_ops_least_cpu():
+    assert bench_pairs.op_minima([{"a": 2.0, "b": 5.0},
+                                  {"a": 3.0, "b": 4.0, "c": 1.0}]) == {
+        "a": 2.0, "b": 4.0, "c": 1.0}
+    assert bench_pairs.op_minima([{"a": 2.0}, None]) is None
+
+
+def test_main_records_per_op_cpu_minima_of_untraced_runs(
+        tmp_path, monkeypatch, capsys):
+    # each untraced run leaves canned per-op CPU; per side the record keeps
+    # each op's minimum over the pairs and the summary prints their sums.
+    # library-session's details have no cpu_ms, so it records null
+    cpu = {"parent": [{"op a": 2.0, "op b": 5.0}, {"op a": 3.0, "op b": 4.0}],
+           "change": [{"op a": 1.5, "op b": 6.0}, {"op a": 2.5, "op b": 5.5}]}
+    untraced = {"parent": 0, "change": 0}
+
+    def fake_run_once(checkout, command, args):
+        workload, side = args[1], checkout.name
+        if args[-1] == "1":
+            return traced(5_905)
+        if workload == "library-session":
+            write_details(checkout, workload, {"distinct_queries": 3})
+        else:
+            write_details(checkout, workload,
+                          {"cpu_ms": cpu[side][untraced[side]]})
+            untraced[side] += 1
+        return canned()[0][side == "change"]
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(tmp_path / "parent"),
+                             str(tmp_path / "change"), "--workload",
+                             "theorem-loops", "library-session",
+                             "--pairs", "2", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("op CPU ms")] == [
+        "op CPU ms, sum of per-op minima: parent 6.000, change 7.000",
+        "op CPU ms, sum of per-op minima: not recorded"]
+    theorem, library = json.loads(out.read_text(encoding="utf-8"))[
+        "workloads"]
+    assert theorem["op_cpu_ms"] == {"parent": {"op a": 2.0, "op b": 4.0},
+                                    "change": {"op a": 1.5, "op b": 5.5}}
+    assert library["workload"] == "library-session"
+    assert library["op_cpu_ms"] is None
+
+
 def test_main_traces_each_side_once_and_records_the_counts(
         tmp_path, monkeypatch, capsys):
     # two pairs of untraced runs, then one traced run per side, whose call
@@ -229,6 +285,7 @@ def test_main_traces_each_side_once_and_records_the_counts(
         seen.append((checkout.name, args[-1]))
         if args[-1] == "1":
             return traced(5_905 if checkout.name == "parent" else 5_906)
+        write_details(checkout, "theorem-loops", {"cpu_ms": {"op": 1.0}})
         return canned()[0][checkout.name == "change"]
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)

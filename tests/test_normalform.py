@@ -8,17 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfs_reference import BfsReference, ClassTooLarge
-from helpers import (FIXTURES, build, differential_cases, fixture_ideal,
-                     random_instance, random_multi_vertex_instance,
-                     random_surviving_word)
+from helpers import (DIFFERENTIAL_PATH_CAP, FIXTURES, build,
+                     differential_cases, fixture_ideal, random_instance,
+                     random_multi_vertex_instance, random_surviving_word)
 from pacqa.errors import BudgetError, IdealError
 from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
 from pacqa.normalform import (CLASS_MEMBER_CAP, _extend, _frontier_start,
                               canonical_form, canonical_index_form,
                               context_for, equivalence_class,
                               monomial_in_ideal)
-from pacqa.oracle import (SELF_CHECK_PATH_CAP, quotient_basis_upto,
-                          raw_monomial_in_ideal)
+from pacqa.oracle import quotient_basis_upto, raw_monomial_in_ideal
 from raw_rows_reference import count_paths, enumerate_paths, quotient_contains
 from trace_reference import trace
 
@@ -204,7 +203,7 @@ class TestBinomialMembership:
 def _raw_contains(spec, terms) -> bool:
     """Raw span membership of ``sum coeff * word`` over ``(coeff, word)``
     terms of one degree, read from the oracle's shared per-degree raw
-    quotient, at any path count."""
+    quotient; past ``SELF_CHECK_PATH_CAP`` paths the caller raises it."""
     from pacqa.linalg import Field
     from pacqa.normalform import context_for
     from pacqa.oracle import _raw_column, _raw_span
@@ -253,9 +252,15 @@ class TestSquareReduction:
 
 
 class TestTwoRouteAgreement:
-    def test_normal_form_matches_raw_span(self):
+    # both tests read raw quotients of up to DIFFERENTIAL_PATH_CAP paths at
+    # every degree they lift, so they raise the oracle's own cap to it
+
+    def test_normal_form_matches_raw_span(self, monkeypatch):
+        from pacqa import oracle
         from pacqa.normalform import context_for
 
+        monkeypatch.setattr(oracle, "SELF_CHECK_PATH_CAP",
+                            DIFFERENTIAL_PATH_CAP)
         agreements = 0
         largest = 0
         for rng, spec, degree in differential_cases(90, 100, 100):
@@ -267,20 +272,21 @@ class TestTwoRouteAgreement:
                 named = ctx.decode(word)
                 expected = monomial_in_ideal(spec, named)
                 assert _raw_contains(spec, [(1, named)]) == expected
-                if len(paths) <= SELF_CHECK_PATH_CAP:
-                    assert raw_monomial_in_ideal(spec, named) == expected
+                assert raw_monomial_in_ideal(spec, named) == expected
                 agreements += 1
         assert agreements >= 1_000
         assert largest > 1_000
         assert largest > 4_000  # degree 6 on four loops: 4,096 paths
 
-    def test_raw_dimension_matches_class_dimension(self):
-        from pacqa.oracle import _raw_span
+    def test_raw_dimension_matches_class_dimension(self, monkeypatch):
+        from pacqa import oracle
 
+        monkeypatch.setattr(oracle, "SELF_CHECK_PATH_CAP",
+                            DIFFERENTIAL_PATH_CAP)
         compared = 0
         for _, spec, degree in differential_cases(4242, 100, 100):
             algebra = quotient_basis_upto(spec, degree)
-            assert (_raw_span(spec, degree).dimension
+            assert (oracle._raw_span(spec, degree).dimension
                     == algebra.dimensions[degree])
             compared += 1
         assert compared >= 300

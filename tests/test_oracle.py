@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_linalg
-from helpers import (FIXTURES, build, differential_cases, fixture_ideal,
-                     fixture_path, random_instance,
+from helpers import (DIFFERENTIAL_PATH_CAP, FIXTURES, build,
+                     differential_cases, fixture_ideal, fixture_path,
+                     layered_text, random_instance,
                      random_multi_vertex_instance, two_loop_polynomial)
 from pacqa.errors import BudgetError
 from pacqa.ideal import ANTICOMMUTATIVE, COMMUTATIVE
+from pacqa.dsl import parse_spec
 from pacqa.koszul import dual_ideal
 from pacqa.linalg import Field, SpanBasis
 from pacqa.normalform import canonical_form, context_for
@@ -378,18 +380,19 @@ class TestRawSpanMemo:
             assert built, name
             assert max(built.values()) == 1, (name, built)
 
-    def test_reads_leave_the_shared_quotient_unchanged(self):
+    def test_reads_leave_the_shared_quotient_unchanged(self, monkeypatch):
         # the memo hands every thread the same quotient, so a read may write
         # nothing: a path compression in one thread could pair a new parent
         # with a parity another thread read before.  This spec's build
         # leaves live paths two and three links below their root, with odd
-        # parities between
-        from pacqa.oracle import _raw_span
+        # parities between; its degree 6 has 4^6 paths
+        from pacqa import oracle
 
+        monkeypatch.setattr(oracle, "SELF_CHECK_PATH_CAP", 4 ** 6)
         spec = build(["x"], [(a, "x", "x") for a in "abce"], ANTICOMMUTATIVE,
                      relations=[("a", "b"), ("a", "e"), ("b", "c"),
                                 ("c", "e")])
-        quotient = _raw_span(spec, 6)
+        quotient = oracle._raw_span(spec, 6)
         parent, odd = quotient._parent, quotient._odd
         deep = [c for c in range(len(parent))
                 if parent[parent[c]] != parent[c]]
@@ -402,21 +405,26 @@ class TestRawSpanMemo:
             assert not quotient_contains(quotient, {c: 1})
         assert (quotient._parent, quotient._odd) == before
 
-    def test_concurrent_first_use_gives_equal_results(self):
+    def test_concurrent_first_use_gives_equal_results(self, monkeypatch):
         # eight threads race to build the same spec's levels from nothing;
-        # a level is published only when complete, so each thread reads a
-        # whole quotient: the dimension, the zero classes and the partition
-        # of a fresh single-threaded build
-        from pacqa.oracle import _raw_span
+        # a level is published only when complete and the first one stored
+        # wins, so each thread reads a whole quotient: the dimension, the
+        # zero classes and the partition of a fresh single-threaded build,
+        # and the same degrees stored, with None where the levels stop
+        from pacqa import oracle
 
-        def digest(spec):
-            quotient = _raw_span(spec, 7)
+        def digest(spec, degree):
+            quotient = oracle._raw_span(spec, degree)
+            stored = [(d, level is None)
+                      for d, level in sorted(oracle._raw_levels(spec).items())]
+            if quotient is None:
+                return stored, None
             named = {}  # root -> its class's first column
             classes = [named.setdefault(quotient.live_class(c), c)
                        for c in range(len(quotient._parent))]
-            return quotient.dimension, classes
+            return stored, quotient.dimension, classes
 
-        def make():
+        def loops():  # degree 7 has 5 * 4^6 paths: the cap is raised
             return build(["x", "y"], [("a", "x", "x"), ("b", "x", "x"),
                                       ("c", "x", "x"), ("d", "x", "x"),
                                       ("u", "x", "y")],
@@ -424,27 +432,34 @@ class TestRawSpanMemo:
                          relations=[("a", "b"), ("b", "c"), ("c", "d")],
                          char=3)
 
-        expected = digest(make())
-        spec = make()
-        results = []
-        start = threading.Barrier(8, timeout=60)
+        def layers():  # 803 paths at degree 2: the levels stop there
+            return parse_spec(layered_text(20)).ideal
 
-        def work():
-            start.wait()
-            results.append(digest(spec))
+        for make, degree, cap in ((loops, 7, 5 * 4 ** 6),
+                                  (layers, 4, SELF_CHECK_PATH_CAP)):
+            monkeypatch.setattr(oracle, "SELF_CHECK_PATH_CAP", cap)
+            expected = digest(make(), degree)
+            spec = make()
+            results = []
+            start = threading.Barrier(8, timeout=60)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [expected] * 8
+            def work():
+                start.wait()
+                results.append(digest(spec, degree))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expected] * 8, make.__name__
+        assert expected == ([(1, False), (2, True)], None)
 
 
 class TestGeneratorRows:
@@ -468,23 +483,28 @@ class TestGeneratorRows:
                 keys = {frozenset(row.items()) for row in rows}
                 assert len(keys) == len(rows), (name, degree)
 
-    def test_raw_dimension_unchanged(self):
-        from pacqa.oracle import _raw_span
+    def test_raw_dimension_unchanged(self, monkeypatch):
+        from pacqa import oracle
 
+        # comm_four_loops_arrow_out has 4^6 + 4^5 paths at degree 6
+        monkeypatch.setattr(oracle, "SELF_CHECK_PATH_CAP", 5 * 4 ** 5)
         for name in FIXTURES:
             spec = fixture_ideal(name)
-            dims = [_raw_span(spec, d).dimension for d in range(2, 7)]
+            dims = [oracle._raw_span(spec, d).dimension for d in range(2, 7)]
             assert dims == self.RAW_DIMENSIONS[name], name
             algebra = quotient_basis_upto(spec, 6)
             assert dims == list(algebra.dimensions[2:]), name
 
-    def test_quotient_matches_reference_elimination(self):
+    def test_quotient_matches_reference_elimination(self, monkeypatch):
         # the generator rows through generic elimination span the same
         # slice as the signed quotient: equal dimension, and equal
         # membership of every unit vector, of binomials and of sparse
         # vectors with random coefficients, on columns walked to
+        from pacqa import oracle
         from pacqa.oracle import _raw_column, _raw_span
 
+        monkeypatch.setattr(oracle, "SELF_CHECK_PATH_CAP",
+                            DIFFERENTIAL_PATH_CAP)
         compared = members = 0
         for rng, spec, degree in differential_cases(5150, 60, 60):
             field = Field(spec.field_char)
@@ -558,16 +578,26 @@ class TestSignedQuotient:
 
 
 class TestPathCounts:
+    # the raw levels gate themselves: degree d is lifted, and so
+    # self-checked, iff it and every degree below it have at most
+    # SELF_CHECK_PATH_CAP paths; the first degree over it is stored as None
+
+    @staticmethod
+    def lifted(spec, d):
+        return all(count_paths(spec, e) <= SELF_CHECK_PATH_CAP
+                   for e in range(1, d + 1))
+
     def test_successor_walks_match_brute_force(self):
         # random quivers on a few vertices plus an isolated one, so parallel
         # arrows, loops, sources and sinks all occur across the batch; the
         # reference list and count, the lifted levels' column walk and the
-        # saturated cap decision all follow the brute-force path list
-        from pacqa.oracle import _affordable, _raw_column, _raw_span
+        # cap rule all follow the brute-force path list
+        from pacqa.oracle import _raw_column, _raw_span
 
         rng = random.Random(11)
         inner = ["v0", "v1", "v2"]
         seen = set()
+        walked = 0
         for _ in range(30):
             arrows = [(f"a{i}", rng.choice(inner), rng.choice(inner))
                       for i in range(rng.randint(1, 6))]
@@ -589,34 +619,43 @@ class TestPathCounts:
                                 for i, j in zip(w, w[1:]))]
                 assert enumerate_paths(spec, d) == brute, (arrows, d)
                 assert count_paths(spec, d) == len(brute), (arrows, d)
-                assert len(_raw_span(spec, d)._parent) == len(brute)
+                quotient = _raw_span(spec, d)
+                assert (quotient is not None) == self.lifted(spec, d), \
+                    (arrows, d)
+                if quotient is None:
+                    continue
+                walked += 1
+                assert len(quotient._parent) == len(brute)
                 for c, w in enumerate(brute):
                     assert _raw_column(spec, w) == c, (arrows, w)
                 for w in itertools.product(range(len(arrows)), repeat=d):
                     if w not in brute:
                         assert _raw_column(spec, w) is None, (arrows, w)
-                assert _affordable(spec, d) == (
-                    len(brute) <= SELF_CHECK_PATH_CAP), (arrows, d)
         assert seen == {"parallel", "loop", "source", "sink"}
+        assert walked >= 140, walked  # of 150 (spec, degree) pairs
 
     def test_counts_are_computed_once_per_degree(self, monkeypatch):
         from pacqa import oracle
 
         spec = fixture_ideal("comm_four_loops_arrow_out")
-        first = [oracle._affordable(spec, d) for d in range(1, 7)]
-        # the second pass reads the memo: with the successor tables out of
-        # reach, a recount would raise
-        monkeypatch.setattr(oracle, "context_for", None)
-        assert [oracle._affordable(spec, d) for d in range(1, 7)] == first
-        # 5, 20, 80, 320, 1,280 and 5,120 paths against a cap of 320
-        assert first == [True] * 4 + [False] * 2
+        first = [oracle._raw_span(spec, d) for d in range(1, 7)]
+        # the second pass reads the memo: with the lift out of reach, a
+        # rebuild or a recount would raise
+        monkeypatch.setattr(oracle, "_lift", None)
+        assert [oracle._raw_span(spec, d) for d in range(1, 7)] == first
+        # 5, 20, 80, 320, 1,280 and 5,120 paths against a cap of 320: the
+        # levels stop at degree 5, and degree 6 is never looked at
+        assert [q is not None for q in first] == [True] * 4 + [False] * 2
+        levels = oracle._raw_levels(spec)
+        assert sorted(levels) == [1, 2, 3, 4, 5] and levels[5] is None
 
     def test_saturated_decisions_match_exact_counts(self):
-        # a count over the cap may feed counts under it again: 20 * 20
+        # path counts may fall again past a degree over the cap: 20 * 20
         # paths x0 -> x2 die at a sink while one path a -> e runs on, so
-        # degree 2 is over the cap and degree 3 under it; the saturated
-        # decision equals the exact one at every degree, asked in any order
-        from pacqa.oracle import _affordable
+        # degree 2 is over the cap and degree 3 under it.  The levels stop
+        # at degree 2 all the same; on every spec the rule follows the
+        # exact counts, asked in any order
+        from pacqa.oracle import _raw_span
 
         arrows = [(f"p{i}", "x0", "x1") for i in range(20)]
         arrows += [(f"q{i}", "x1", "x2") for i in range(20)]
@@ -629,15 +668,18 @@ class TestPathCounts:
             degrees = list(range(1, 13))
             rng.shuffle(degrees)
             for d in degrees:
-                assert _affordable(spec, d) == (
-                    count_paths(spec, d) <= SELF_CHECK_PATH_CAP), d
-        assert [_affordable(specs[0], d) for d in (1, 2, 3, 4)] == \
-            [True, False, True, True]
+                assert (_raw_span(spec, d) is not None) == \
+                    self.lifted(spec, d), d
+        assert [_raw_span(specs[0], d) is not None for d in (1, 2, 3, 4)] \
+            == [True, False, False, False]
+        assert [count_paths(specs[0], d) for d in (1, 2, 3, 4)] == \
+            [43, 402, 1, 0]
 
     def test_deep_counts_extend_the_last_degree(self, monkeypatch):
-        # four loops give 4^d paths at degree d; the gate must decide degree
-        # 5,000 on counts saturated at the cap plus one, never on exact
-        # totals, so any sum in the module past a million raises here
+        # four loops give 4^d paths at degree d; a basis to degree 5,000
+        # lifts levels only up to the first degree over the cap, so no
+        # exact path count past a million is ever summed, and nothing
+        # above degree 5 is stored
         from pacqa import oracle
 
         def small_sum(values, start=0):
@@ -651,5 +693,20 @@ class TestPathCounts:
         algebra = quotient_basis_upto(spec, 5000)
         assert algebra.self_checked == (1, 2, 3, 4)
         assert algebra.dimensions[:5] == (1, 4, 5, 2, 0)
-        d, ending = oracle._path_counts(spec).last
-        assert d == 5000 and max(ending) == SELF_CHECK_PATH_CAP + 1
+        levels = oracle._raw_levels(spec)
+        assert sorted(levels) == [1, 2, 3, 4, 5] and levels[5] is None
+
+    def test_wide_layers_build_no_level_over_the_cap(self):
+        # three layers of 20 parallel arrows plus a 4-arrow path: 64, 803,
+        # 8,002 and 1 paths at degrees 1..4.  Degree 4 alone is small, but
+        # lifting it would need the 8,002-column level below, so only
+        # degree 1 is self-checked and no stored level passes the cap
+        from pacqa import oracle
+
+        spec = parse_spec(layered_text(20)).ideal
+        algebra = quotient_basis_upto(spec, 4)
+        assert algebra.self_checked == (1,)
+        assert algebra.dimensions == (9, 64, 3, 2, 1)
+        columns = [len(level[1]) for level in
+                   oracle._raw_levels(spec).values() if level is not None]
+        assert columns and max(columns) <= SELF_CHECK_PATH_CAP

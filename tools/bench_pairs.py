@@ -19,12 +19,16 @@ ops a run keeps, and so is the change's peak RSS against the parent's at
 equal ops (:func:`rss_at_equal_ops`).  After a workload's pairs, one traced
 run per side (``--trace 1``) gives its layer call counts, and every count
 that differs between the sides is printed (:func:`calls_differing`).
+Each untraced run also leaves each op's CPU time in its details file; per
+side the minimum of each op over the pairs is kept (:func:`op_minima`),
+and the two sides' sums are printed.
 ``--out`` writes a JSON record: both checkouts' commits, the seed, pairs
 and run length, each side's ``src/`` line counts, and per workload the
-summary rows, the equal-ops RSS fit, each side's call counts and every raw
-run.  Nothing is written under either checkout's ``perfbench/``:
-the runs write no bytecode, and ``perfbench/run.py`` keeps its own outputs
-in ``.perfbench-out/`` at the checkout's root.
+summary rows, the equal-ops RSS fit, each side's call counts and per-op
+CPU minima, and every raw run.  Nothing is written under either
+checkout's ``perfbench/``: the runs write no bytecode, and
+``perfbench/run.py`` keeps its own outputs in ``.perfbench-out/`` at the
+checkout's root.
 """
 from __future__ import annotations
 
@@ -173,6 +177,26 @@ def calls_differing(calls: dict[str, dict[str, float]]) -> list[str]:
             if parent.get(name) != change.get(name)]
 
 
+def op_cpu_ms(checkout: Path, workload: str, seed: int
+              ) -> dict[str, float] | None:
+    """``details.cpu_ms`` of the last untraced run of ``workload`` in
+    ``checkout``: each op's CPU time in ms (the upper quartile over its
+    runs), or None where the workload records none."""
+    path = checkout / ".perfbench-out" / f"{workload}-seed{seed}-trace0.json"
+    return json.loads(path.read_text(encoding="utf-8"))["details"].get(
+        "cpu_ms")
+
+
+def op_minima(runs: list[dict[str, float] | None]
+              ) -> dict[str, float] | None:
+    """Each op's minimum over the :func:`op_cpu_ms` of ``runs``; None when
+    a run has none."""
+    if None in runs:
+        return None
+    return {op: min(run[op] for run in runs if op in run)
+            for op in sorted(set().union(*runs))}
+
+
 def code_lines(text: str) -> int:
     """The code lines of one Python source: every line that a token other
     than a comment spans, less the lines of docstrings (string literals
@@ -221,10 +245,12 @@ def _finite(value):
 def record(checkouts: dict[str, Path], seed: int, run_seconds: float,
            end_to_end: list[dict],
            runs: dict[str, list[tuple[dict, dict]]],
-           calls: dict[str, dict[str, dict]]) -> dict:
+           calls: dict[str, dict[str, dict]],
+           op_cpu: dict[str, dict[str, dict] | None]) -> dict:
     """The ``--out`` record for the ``runs`` of each workload: pairs of
     ``(parent, change)`` results, the parent first in odd pairs; ``calls``
-    holds each workload's :func:`layer_calls` per side, where measured."""
+    holds each workload's :func:`layer_calls` per side, where measured, and
+    ``op_cpu`` its :func:`op_minima` per side (None where not recorded)."""
     return _finite({
         "commits": {side: commit_of(path) for side, path in checkouts.items()},
         "src_lines": {side: src_lines(path)
@@ -236,6 +262,7 @@ def record(checkouts: dict[str, Path], seed: int, run_seconds: float,
             "metrics": summarize(pairs, end_to_end),
             "rss_at_equal_ops": rss_at_equal_ops(pairs),
             "layer_calls": calls.get(workload),
+            "op_cpu_ms": op_cpu.get(workload),
             "runs": [{"first": "parent" if i % 2 else "change",
                       "parent": p, "change": c}
                      for i, (p, c) in enumerate(pairs, start=1)],
@@ -265,17 +292,19 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the JSON record to this file")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    runs, calls = {}, {}
+    runs, calls, op_cpu = {}, {}, {}
     for workload in args.workload:
         run_args = ["--workload", workload, "--seed", str(args.seed),
                     "--seconds", str(bench["run_seconds"])]
-        pairs = []
+        pairs, cpu = [], {"parent": [], "change": []}
         for i in range(args.pairs):
             done = {}
             for side in ("change", "parent") if i % 2 else ("parent",
                                                             "change"):
-                done[side] = run_once(getattr(args, side), bench["command"],
+                checkout = getattr(args, side)
+                done[side] = run_once(checkout, bench["command"],
                                       [*run_args, "--trace", "0"])
+                cpu[side].append(op_cpu_ms(checkout, workload, args.seed))
             pairs.append((done["parent"], done["change"]))
             print(f"{workload}: pair {i + 1}/{args.pairs} done",
                   file=sys.stderr, flush=True)
@@ -287,6 +316,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{workload}, seed {args.seed}, {args.pairs} pairs, "
               f"{bench['run_seconds']} s per run")
         print(render(summarize(pairs, bench["end_to_end"]), pairs))
+        minima = {side: op_minima(side_runs)
+                  for side, side_runs in cpu.items()}
+        op_cpu[workload] = None if None in minima.values() else minima
+        print("op CPU ms, sum of per-op minima: " + (
+            "not recorded" if op_cpu[workload] is None else ", ".join(
+                f"{side} {sum(m.values()):.3f}"
+                for side, m in minima.items())))
         differing = calls_differing(calls[workload])
         print(f"layer call counts ({len(calls[workload]['parent'])} names): "
               + ("equal" if not differing else "; ".join(differing)),
@@ -295,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             out = record({"parent": args.parent, "change": args.change},
                          args.seed, bench["run_seconds"],
-                         bench["end_to_end"], runs, calls)
+                         bench["end_to_end"], runs, calls, op_cpu)
             args.out.write_text(
                 json.dumps(out, indent=2, sort_keys=True) + "\n",
                 encoding="utf-8")
