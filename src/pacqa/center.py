@@ -109,6 +109,11 @@ def cycle_survivors(spec: IdealSpec) -> tuple[Word | None, Word | None]:
     generator, and then the rotation starting right after that pair (or the
     cycle itself, if there is none) is the first survivor by shift.  Every
     rotation survives, and the cycle is wrap-alive, iff none is.
+
+    A surviving cycle word can carry central elements that are not products
+    of loops (for the 2-cycle quiver with the zero ideal, ``cd + dc`` is
+    central), so the loop-clique machinery refuses these quivers and defers
+    to the oracle.
     """
     surviving = None
     for cycle in multi_vertex_cycles(spec.quiver):
@@ -121,25 +126,13 @@ def cycle_survivors(spec: IdealSpec) -> tuple[Word | None, Word | None]:
     return surviving, None
 
 
-def surviving_multi_vertex_cycle(spec: IdealSpec) -> Word | None:
-    """A rotation of a simple multi-vertex cycle that survives modulo the
-    ideal, if one exists (:func:`cycle_survivors`).
-
-    Such a surviving cycle word can carry central elements that are not
-    products of loops (for the 2-cycle quiver with the zero ideal,
-    ``cd + dc`` is central), so the loop-clique machinery refuses these
-    quivers and defers to the oracle.
-    """
-    return cycle_survivors(spec)[0]
-
-
 def hypothesis_report(spec: IdealSpec) -> dict[str, bool]:
     """The three theorem-mode conditions, as the ``--json`` report prints
     them."""
     return {
         "square_free": is_square_free(spec),
         "orthogonal_admissible": is_admissible(orthogonal(spec)).admissible,
-        "loop_supported": surviving_multi_vertex_cycle(spec) is None,
+        "loop_supported": cycle_survivors(spec)[0] is None,
     }
 
 
@@ -162,7 +155,7 @@ def require_hypotheses(spec: IdealSpec) -> None:
     """The loop hypotheses, and no multi-vertex cycle surviving modulo the
     ideal: the preconditions for the whole center."""
     require_loop_hypotheses(spec)
-    survivor = surviving_multi_vertex_cycle(spec)
+    survivor = cycle_survivors(spec)[0]
     if survivor is not None:
         raise HypothesisError(
             "a multi-vertex cycle survives modulo the ideal ("

@@ -23,10 +23,9 @@ from .fingen import center_finitely_generated
 from .graphs import generator_graph, is_admissible, relation_graph, to_dot
 from .ideal import IdealSpec, composable_pairs, orthogonal
 from .koszul import hochschild_fg, koszul_dual
-from .normalform import monomial_in_ideal
+from .normalform import _fold, canonical_index_form, context_for
 from .oracle import (oracle_center_upto, oracle_fg_evidence,
-                     oracle_nilpotence_check, quotient_basis_upto,
-                     raw_monomial_in_ideal)
+                     oracle_nilpotence_check, quotient_basis_upto)
 
 COMMANDS = ("validate", "admissible", "orthogonal", "center", "fingen",
             "dual", "hochschild", "oracle-check", "dot")
@@ -55,6 +54,11 @@ def _quiver_payload(spec: IdealSpec) -> dict:
         "arrows": [[a.name, a.origin, a.target] for a in q.arrows],
         "connected": q.is_connected(),
     }
+
+
+def _generator_lines(spec: IdealSpec) -> list[str]:
+    return ["monomials: " + (", ".join(spec.monomial_strings()) or "(none)"),
+            "relations: " + (", ".join(spec.relation_strings()) or "(none)")]
 
 
 def _convention_notices(spec: IdealSpec) -> list[str]:
@@ -107,8 +111,7 @@ def _cmd_validate(doc: SpecDocument, args) -> _Outcome:
         f"quiver: {len(spec.quiver.vertices)} vertices, "
         f"{len(spec.quiver.arrows)} arrows",
         f"flavor: {spec.flavor} (char {spec.field_char})",
-        "monomials: " + (", ".join(spec.monomial_strings()) or "(none)"),
-        "relations: " + (", ".join(spec.relation_strings()) or "(none)"),
+        *_generator_lines(spec),
         "valid",
     ]
     return result, lines, []
@@ -122,10 +125,8 @@ def _cmd_admissible(doc: SpecDocument, args) -> _Outcome:
         "nilpotency_bound": verdict.nilpotency_bound,
         "orthogonal": _ideal_payload(verdict.orthogonal),
     }
-    if verdict.admissible:
-        lines = [f"ADMISSIBLE, nilpotency bound: {verdict.nilpotency_bound}"]
-    else:
-        lines = ["NOT ADMISSIBLE, cycle: " + " -> ".join(verdict.cycle)]
+    lines = [("ADMISSIBLE, " if verdict.admissible else "NOT ADMISSIBLE, ")
+             + verdict.witness_text()]
     return result, lines, _convention_notices(verdict.orthogonal)
 
 
@@ -133,11 +134,7 @@ def _cmd_orthogonal(doc: SpecDocument, args) -> _Outcome:
     orth = orthogonal(doc.ideal)
     result = {**_ideal_payload(orth),
               "convention_squares": list(orth.convention_squares)}
-    lines = [
-        f"flavor: {orth.flavor}",
-        "monomials: " + (", ".join(orth.monomial_strings()) or "(none)"),
-        "relations: " + (", ".join(orth.relation_strings()) or "(none)"),
-    ]
+    lines = [f"flavor: {orth.flavor}", *_generator_lines(orth)]
     return result, lines, _convention_notices(orth)
 
 
@@ -235,8 +232,7 @@ def _cmd_dual(doc: SpecDocument, args) -> _Outcome:
             f"{a.name}: {a.origin}->{a.target}"
             for a in dual.ideal.quiver.arrows),
         f"flavor: {dual.ideal.flavor}",
-        "monomials: " + (", ".join(dual.ideal.monomial_strings()) or "(none)"),
-        "relations: " + (", ".join(dual.ideal.relation_strings()) or "(none)"),
+        *_generator_lines(dual.ideal),
         f"koszul: {dual.koszul}",
     ]
     return result, lines, _convention_notices(dual.ideal)
@@ -312,19 +308,16 @@ def _cmd_oracle_check(doc: SpecDocument, args) -> _Outcome:
                    f"graph verdict vs dimension at degree {n} "
                    f"({algebra.dimensions[n]})"))
 
+    # the basis's self-check compared the memoised forms with the raw
+    # classes on every path of each lifted degree; a fresh fold of a
+    # sample must give the same forms
+    ctx = context_for(spec)
     sample = [w for d in range(2, min(4, args.max_degree) + 1)
               for w in algebra.basis[d][:5]]
     sample += [w + w for w in algebra.basis[1][:3]
                if spec.quiver.composable(w[0], w[0])]
-    two_route_ok = True
-    for word in sample:
-        try:
-            raw = raw_monomial_in_ideal(spec, word)
-        except PacqaError:
-            continue
-        if raw != monomial_in_ideal(spec, word):
-            two_route_ok = False
-            break
+    two_route_ok = all(_fold(ctx, w) == canonical_index_form(ctx, w)
+                       for w in map(ctx.encode, sample))
     checks.append(("membership two-route", two_route_ok,
                    "normal-form membership vs raw span membership"))
 

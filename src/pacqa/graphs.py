@@ -43,7 +43,8 @@ def generator_graph(spec: IdealSpec) -> MixedGraph:
 def relation_graph(spec: IdealSpec) -> MixedGraph:
     """Directed edge ``a -> b`` whenever ``ab = 0`` in the quotient: the pair
     is non-composable, or ``ab`` is a monomial generator.  Self-pairs only
-    appear for loops whose square is a generator."""
+    appear for loops whose square is a generator.  Edges are listed by the
+    declaration order of their first arrow, then of their second."""
     q = spec.quiver
     directed = []
     for a in q.arrow_names:
@@ -53,7 +54,6 @@ def relation_graph(spec: IdealSpec) -> MixedGraph:
                     directed.append((a, b))
             elif a != b:
                 directed.append((a, b))
-    directed.sort(key=lambda p: (q.arrow_index(p[0]), q.arrow_index(p[1])))
     return MixedGraph(
         vertices=q.arrow_names,
         directed=tuple(directed),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .center import DEFAULT_MAX_DEGREE, cycle_survivors
-from .errors import FalsificationError, HypothesisError
+from .errors import BudgetError, FalsificationError, HypothesisError
 from .fingen import (FINITELY_GENERATED, INFINITELY_GENERATED, TRIVIAL,
                      FinGenVerdict, loop_supported_verdict)
 from .graphs import is_admissible
@@ -119,7 +119,13 @@ def _dual_center_verdict(dual: IdealSpec, max_degree: int
             "rotation pairs: its rotation sums are non-nilpotent central "
             "elements, so HH*/N is not trivial; each such family is "
             "generated by its first necklace"]
-    cycle_elements = _cycle_supported_elements(dual, max_degree)
+    try:
+        cycle_elements = _cycle_supported_elements(dual, max_degree)
+    except BudgetError as exc:
+        return verdict, ["the oracle sweep for cycle-supported central "
+                         f"elements stopped ({exc}); every cycle has a "
+                         "vanishing wrap pair, so the loop-supported "
+                         "verdict stands"]
     if not cycle_elements:
         return verdict, [
             "the dual quiver has multi-vertex cycles; every such cycle has "

@@ -13,8 +13,9 @@ right products and the nilpotence powers read them.
 The self-check recomputes each small degree from the generators alone:
 every row ``p * generator * q`` is a unit or a signed binomial, so the raw
 quotient is a parity union-find over the paths (:class:`_SignedQuotient`),
-lifted from the degree below (:func:`_lift`); each canonical word must
-name its own live class there.
+lifted from the degree below (:func:`_lift`).  It is the one place where
+the two membership routes meet, on every path of the degree, signs
+included (:func:`_check_level`).
 """
 from __future__ import annotations
 
@@ -22,12 +23,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .center import CenterBasis, CenterElement, surviving_multi_vertex_cycle
+from .center import CenterBasis, CenterElement, cycle_survivors
 from .errors import BudgetError, FalsificationError
 from .ideal import IdealSpec, _per_ideal, is_square_free
 from .linalg import Field, SpanBasis, nullspace
-from .normalform import (_extend, _frontier_start, canonical_index_form,
-                         context_for)
+from .normalform import (_extend, _form, _frontier_start,
+                         canonical_index_form, context_for)
 from .quiver import Path
 
 Word = tuple[str, ...]
@@ -101,10 +102,11 @@ class _SignedQuotient:
         self._size[rc] += self._size[rd]
         self._dead[rc] = self._dead[rc] or self._dead[rd]
 
-    def live_class(self, c: int) -> int | None:
-        """The root of column ``c``'s class, or None when the class is 0."""
-        root = self._find(c)[0]
-        return None if self._dead[root] else root
+    def signed_class(self, c: int) -> tuple[int, int] | None:
+        """``(root, parity)`` of column ``c``'s class, with ``x_c =
+        (-1)^parity x_root``, or None when the class is 0."""
+        root, parity = self._find(c)
+        return None if self._dead[root] else (root, parity)
 
     @property
     def dimension(self) -> int:
@@ -197,22 +199,45 @@ def _raw_column(spec: IdealSpec, word: tuple[int, ...]) -> int | None:
     return c
 
 
-def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
-                        budget: int = BASIS_BUDGET) -> TruncatedAlgebra:
-    """Canonical bases of degrees 0..max_degree.
+def _check_level(quotient: _SignedQuotient, paths: list, frontier: dict,
+                 degree: int) -> None:
+    """Compare the two routes on every path of one lifted degree, given each
+    raw column's normal form as ``(odd sign, canonical word)`` or None.  A
+    path is zero by both routes or by neither, the paths of one canonical
+    word share one signed raw class, and the canonical words are the
+    frontier's, one class each."""
+    classes: dict[tuple[int, ...], tuple[int, int]] = {}
+    for c, (_, form) in enumerate(paths):
+        raw = quotient.signed_class(c)
+        if (raw is None) != (form is None) or form and classes.setdefault(
+                form[1], signed := (raw[0], raw[1] ^ form[0])) != signed:
+            break
+    else:
+        if classes.keys() == frontier.keys() and len(
+                {root for root, _ in classes.values()}) == len(classes):
+            return
+    raise FalsificationError(
+        f"degree {degree}: the normal forms disagree with the raw classes")
+
+
+def quotient_basis_upto(spec: IdealSpec, max_degree: int) -> TruncatedAlgebra:
+    """Canonical bases of degrees 0..max_degree, at most ``BASIS_BUDGET``
+    words in all.
 
     The frontier route extends surviving canonical words arrow by arrow; a
     prefix of a surviving word survives, so this reaches every class.  Each
     word carries its trace state and grows by the append rule
     (:func:`normalform._extend`), which also fills the form memo that the
-    center's right products read.  Where it and every degree below it have
-    at most ``SELF_CHECK_PATH_CAP`` paths, so that :func:`_raw_span` lifts
-    it, the raw quotient checks the words class by class: as many as its
-    dimension, each in a different nonzero class.
+    center's right products read.  Up to the first degree of more than
+    ``SELF_CHECK_PATH_CAP`` paths, :func:`_raw_span` lifts each degree, and
+    the raw quotient checks it path by path (:func:`_check_level`).  In
+    raw column order, path ``p*y`` takes its form from p's: p's sign times
+    the memoised form of p's canonical word times y.
     """
     ctx = context_for(spec)
     basis: list[tuple[Word, ...]] = [tuple(spec.quiver.vertices)]
     frontier = _frontier_start(ctx)
+    paths = [(w[0], (0, w)) for w in frontier]  # (last arrow, form)
     total = 0
     checked: list[int] = []
     for d in range(1, max_degree + 1):
@@ -220,22 +245,16 @@ def quotient_basis_upto(spec: IdealSpec, max_degree: int, *,
             frontier = _extend(ctx, frontier)
         words = sorted(frontier)
         total += len(words)
-        if total > budget:
+        if total > BASIS_BUDGET:
             raise BudgetError(
-                f"quotient basis exceeds the budget of {budget} words at "
-                f"degree {d}")
+                f"quotient basis exceeds the budget of {BASIS_BUDGET} words "
+                f"at degree {d}")
         if (quotient := _raw_span(spec, d)) is not None:
-            raw = quotient.dimension
-            if raw != len(words):
-                raise FalsificationError(
-                    f"degree {d}: class-based dimension {len(words)} "
-                    f"disagrees with raw elimination {raw}")
-            classes = {quotient.live_class(_raw_column(spec, w))
-                       for w in words}
-            if None in classes or len(classes) != raw:
-                raise FalsificationError(
-                    f"degree {d}: the canonical words do not fall in "
-                    "distinct nonzero raw classes")
+            if d > 1:
+                paths = [(y, f and (g := _form(ctx, f[1] + (y,)))
+                          and (f[0] ^ (g[0] < 0), g[1]))
+                         for x, f in paths for y in ctx.after[x]]
+            _check_level(quotient, paths, frontier, d)
             checked.append(d)
         basis.append(tuple(ctx.decode(w) for w in words))
     return TruncatedAlgebra(spec, max_degree, tuple(basis), tuple(checked))
@@ -255,7 +274,7 @@ def raw_monomial_in_ideal(spec: IdealSpec, word: Path | Sequence[str]
     quotient = _raw_span(spec, degree)
     if quotient is None:
         raise BudgetError("path list too large for the raw membership route")
-    return quotient.live_class(
+    return quotient.signed_class(
         _raw_column(spec, context_for(spec).encode(word))) is None
 
 
@@ -284,7 +303,7 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
     # centers are monomial when square-free AND loop-supported; a surviving
     # multi-vertex cycle allows genuine sums over rotations
     expect_monomial = (is_square_free(spec)
-                       and surviving_multi_vertex_cycle(spec) is None)
+                       and cycle_survivors(spec)[0] is None)
     for d in range(1, max_degree + 1):
         right = 1 if graded and d % 2 else -1  # minus the sign of z a
         cycles = [ctx.encode(w) for w in algebra.basis[d]
@@ -307,7 +326,7 @@ def oracle_center_upto(spec: IdealSpec, max_degree: int, *,
                         row = sparse_rows[(a, rep)]
                         row[j] = row.get(j, 0) + side * sign
             matrix = []
-            for _, sparse in sorted(sparse_rows.items()):
+            for sparse in sparse_rows.values():
                 row = {j: x for j, v in sparse.items() if (x := field.of(v))}
                 if row:
                     matrix.append(row)

@@ -9,6 +9,8 @@ import random
 import time
 from collections import Counter
 
+import pytest
+
 from helpers import (FIXTURES, fixture_doc, fixture_ideal, fixture_path,
                      random_instance, random_surviving_word)
 from pacqa.center import (central_monomials_upto, hypothesis_report)
@@ -121,7 +123,9 @@ def _check_admissibility_agreement(spec, stats):
     n = len(spec.quiver.arrows) + 1
     if verdict.admissible:
         try:
-            algebra = quotient_basis_upto(spec, n, budget=60_000)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("pacqa.oracle.BASIS_BUDGET", 60_000)
+                algebra = quotient_basis_upto(spec, n)
         except BudgetError:
             stats["a_budget_skip"] += 1
             return
@@ -149,7 +153,9 @@ def _check_center_agreement(spec, stats):
         stats["b_budget_skip"] += 1
         return None
     try:
-        algebra = quotient_basis_upto(spec, degree + 1, budget=20_000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("pacqa.oracle.BASIS_BUDGET", 20_000)
+            algebra = quotient_basis_upto(spec, degree + 1)
     except BudgetError:
         stats["b_budget_skip"] += 1
         return None

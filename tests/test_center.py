@@ -15,8 +15,7 @@ from pacqa.center import (Centrality, center_is_trivial_at,
                           central_monomials_upto, cycle_survivors,
                           even_center_upto, graded_center_upto,
                           hypothesis_report, is_central_monomial,
-                          loop_clique_statuses, require_hypotheses,
-                          surviving_multi_vertex_cycle)
+                          loop_clique_statuses, require_hypotheses)
 from pacqa.errors import HypothesisError, PacqaError
 from pacqa.fingen import center_finitely_generated
 from pacqa.graphs import is_admissible, relation_graph
@@ -464,7 +463,7 @@ def test_hypothesis_report_reads_each_condition_from_its_source():
             "square_free": is_square_free(spec),
             "orthogonal_admissible":
                 is_admissible(orthogonal(spec)).admissible,
-            "loop_supported": surviving_multi_vertex_cycle(spec) is None,
+            "loop_supported": cycle_survivors(spec)[0] is None,
         }
         outcomes.add(tuple(report.values()))
     assert len(outcomes) >= 4
@@ -502,9 +501,8 @@ class TestCyclePairRuleAgainstReference:
                   if is_admissible(spec).admissible]
         surviving = wrap_alive = single_rotation = 0
         for spec in specs:
-            got = surviving_multi_vertex_cycle(spec)
+            got, alive = cycle_survivors(spec)
             assert got == cycle_reference.surviving_multi_vertex_cycle(spec)
-            alive = cycle_survivors(spec)[1]
             assert alive == cycle_reference.wrap_alive_cycle(spec)
             surviving += got is not None
             wrap_alive += alive is not None
@@ -524,5 +522,5 @@ class TestCyclePairRuleAgainstReference:
             decide(spec)
         except HypothesisError as exc:
             assert "(d*c)" in str(exc)
-        assert surviving_multi_vertex_cycle(spec) == ("d", "c")
+        assert cycle_survivors(spec)[0] == ("d", "c")
         assert not [key for key in spec.__dict__ if "context_for" in key]

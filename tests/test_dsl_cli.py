@@ -122,6 +122,14 @@ class TestRoundTrip:
         assert parse_spec(print_spec(doc)).ideal == doc.ideal
 
 
+def test_every_public_name_imports_from_the_package():
+    assert "quotient_basis_upto" in pacqa.__all__
+    for name in pacqa.__all__:
+        scope: dict = {}
+        exec(f"from pacqa import {name}", scope)
+        assert scope[name] is getattr(pacqa, name), name
+
+
 class TestCli:
     def test_admissible_text(self, capsys):
         code = run(["admissible", fixture_path("anti_four_loops_free_pair")])
@@ -135,6 +143,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "finitely generated; HH*/N is trivial" in out
+
+    def test_hochschild_keeps_its_verdict_past_the_basis_budget(
+            self, capsys, monkeypatch):
+        # every cycle of the dual has a vanishing wrap pair, so the verdict
+        # is the loop-supported one; the oracle sweep for cycle-supported
+        # elements only adds a note, and one that stops says so
+        monkeypatch.setattr("pacqa.oracle.BASIS_BUDGET", 50)
+        code = run(["hochschild",
+                    fixture_path("monomial_two_loops_two_arrows")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "finitely generated; HH*/N is trivial" in out
+        assert "stopped (quotient basis exceeds the budget of 50 words at " \
+            "degree " in out
+        assert "so the loop-supported verdict stands" in out
 
     def test_missing_file_is_input_error(self, capsys):
         assert run(["validate", "/no/such/file.quiver"]) == 1

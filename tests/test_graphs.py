@@ -1,6 +1,9 @@
 from __future__ import annotations
 
-from helpers import build, fixture_ideal
+import random
+
+from helpers import (build, fixture_ideal, random_instance,
+                     random_multi_vertex_instance)
 from pacqa.graphs import (GENERATOR_KIND, MixedGraph, enumerate_cliques,
                           generator_graph, has_directed_cycle, is_admissible,
                           relation_graph, to_dot)
@@ -154,6 +157,18 @@ class TestCliques:
         assert (a, b, c) in names and (a, b, d) in names
         maximal = [cl.vertices for cl in cliques if cl.maximal]
         assert maximal == [(a, b, c), (a, b, d)]
+
+
+def test_relation_graph_edges_come_in_arrow_order():
+    # the edges are generated by origin, then target, in declaration order
+    rng = random.Random("relation-graph-order")
+    specs = [random_instance(rng) for _ in range(100)]
+    specs += [random_multi_vertex_instance(rng) for _ in range(100)]
+    for spec in specs:
+        index = spec.quiver.arrow_index
+        keys = [(index(a), index(b)) for a, b in relation_graph(spec).directed]
+        assert keys == sorted(set(keys)), spec.generator_strings()
+    assert sum(len(relation_graph(s).directed) > 1 for s in specs) >= 150
 
 
 class TestDot:

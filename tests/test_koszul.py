@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from helpers import FIXTURES, build, fixture_doc, fixture_ideal
-from pacqa.center import (center_is_trivial_at, hypothesis_report,
-                          surviving_multi_vertex_cycle)
+from pacqa.center import (center_is_trivial_at, cycle_survivors,
+                          hypothesis_report)
 from pacqa.errors import HypothesisError
 from pacqa.graphs import is_admissible
 from pacqa.ideal import (ANTICOMMUTATIVE, COMMUTATIVE, KOSZUL_ASSERTED,
@@ -144,7 +144,7 @@ class TestHochschild:
         # the dual's surviving and wrap-alive cycles come from one search,
         # which the hypotheses and the oracle's guard read again
         assert not hypothesis_report(dual)["loop_supported"]
-        assert surviving_multi_vertex_cycle(dual) == (f"d{OP}", f"c{OP}")
+        assert cycle_survivors(dual)[0] == (f"d{OP}", f"c{OP}")
         assert searched == [dual.quiver]
 
     def test_verdict_always_carries_dual(self):

@@ -28,6 +28,10 @@ from raw_rows_reference import (count_paths, enumerate_paths, generator_rows,
 from trace_reference import trace
 
 
+ANTI_FIXTURES = ("anti_two_loops_arrow", "anti_four_loops_free_pair",
+                 "anti_four_loops_full")
+
+
 def degree_words(basis):
     return [(d, ["".join(e.word) for e in els]) for d, els in basis.by_degree]
 
@@ -85,12 +89,50 @@ class TestQuotientBasis:
         grown = oracle._extend(ctx, oracle._frontier_start(ctx))
         assert {ctx.decode(w) for w in grown} == {("a", "b"), tuple(wrong)}
 
-    def test_budget_guard(self):
-        import pytest as _pytest
-        from pacqa.errors import BudgetError
+    @pytest.mark.parametrize("name", ANTI_FIXTURES)
+    def test_self_check_sees_a_flipped_raw_sign(self, monkeypatch, name):
+        # relation rows joined with the wrong sign leave every dimension
+        # and every class partition as it was at degree 2: only the signs
+        # of the paths in their classes show the error
+        from pacqa import oracle
+        from pacqa.errors import FalsificationError
+
+        join = oracle._SignedQuotient.join
+        monkeypatch.setattr(oracle._SignedQuotient, "join",
+                            lambda self, c, d, odd: join(self, c, d, not odd))
+        with pytest.raises(FalsificationError, match="degree 2: .*raw classes"):
+            quotient_basis_upto(fixture_ideal(name), 2)
+
+    @pytest.mark.parametrize("name", ANTI_FIXTURES)
+    def test_self_check_sees_a_flipped_memo_sign(self, monkeypatch, name):
+        # the frontier memoises each extension with a wrong sign wherever
+        # the new letter moves left of the end; the center's products read
+        # those signs, so the oracle center would come out wrong
+        from pacqa import oracle
+        from pacqa.errors import FalsificationError
+
+        extend = oracle._extend
+
+        def flipped(ctx, frontier):
+            grown = extend(ctx, frontier)
+            for word in frontier:
+                for y in ctx.after[word[-1]]:
+                    form = ctx.forms[word + (y,)]
+                    if form and form[1] != word + (y,):
+                        ctx.forms[word + (y,)] = (-form[0], form[1])
+            return grown
+
+        monkeypatch.setattr(oracle, "_extend", flipped)
+        with pytest.raises(FalsificationError, match="degree 2: .*raw classes"):
+            quotient_basis_upto(fixture_ideal(name), 2)
+
+    def test_budget_guard(self, monkeypatch):
+        from pacqa import oracle
+
+        monkeypatch.setattr(oracle, "BASIS_BUDGET", 10)
         spec = build(["x"], [("a", "x", "x"), ("b", "x", "x")], COMMUTATIVE)
-        with _pytest.raises(BudgetError):
-            quotient_basis_upto(spec, 6, budget=10)
+        with pytest.raises(BudgetError, match="budget of 10 words"):
+            quotient_basis_upto(spec, 6)
 
 
 class TestOracleCenter:
@@ -401,7 +443,7 @@ class TestRawSpanMemo:
                    for c in deep)
         before = (list(parent), list(odd))
         for c in range(len(parent)):
-            quotient.live_class(c)
+            quotient.signed_class(c)
             assert not quotient_contains(quotient, {c: 1})
         assert (quotient._parent, quotient._odd) == before
 
@@ -419,8 +461,8 @@ class TestRawSpanMemo:
                       for d, level in sorted(oracle._raw_levels(spec).items())]
             if quotient is None:
                 return stored, None
-            named = {}  # root -> its class's first column
-            classes = [named.setdefault(quotient.live_class(c), c)
+            named = {}  # signed class -> its first column
+            classes = [named.setdefault(quotient.signed_class(c), c)
                        for c in range(len(quotient._parent))]
             return stored, quotient.dimension, classes
 
