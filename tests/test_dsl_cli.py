@@ -212,6 +212,19 @@ class TestCli:
             assert "DISAGREE: center" in out
             assert out.endswith("ENGINES DISAGREE\n")
 
+    def test_oracle_check_compares_a_fresh_fold_with_the_memo(
+            self, capsys, monkeypatch):
+        # a fold that no longer agrees with the self-checked memo, here one
+        # that puts every sampled word in the ideal, is a disagreement
+        from pacqa import cli
+
+        monkeypatch.setattr(cli, "_fold", lambda ctx, word: None)
+        code = run(["oracle-check", fixture_path("comm_two_loops_arrow")])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "DISAGREE: membership two-route (normal-form membership vs " \
+            "raw span membership)" in out
+
     def test_falsification_exit_code(self, tmp_path, capsys, monkeypatch):
         from pacqa import cli
         from pacqa.errors import FalsificationError
